@@ -27,7 +27,7 @@ from conftest import report
 
 from repro.core.signal import buffer_signal
 from repro.eventloop.loop import MainLoop
-from repro.net import ShardSupervisor
+from repro.net import Router
 from repro.net.shard import HashRing
 
 HEARTBEAT_MS = 50.0
@@ -44,9 +44,9 @@ def bench_recovery(total_samples: int, shards: int = 1) -> Dict[str, float]:
     """X13a: crash one shard after ``total_samples`` and time the restart."""
     with tempfile.TemporaryDirectory() as wal_root:
         loop = MainLoop()
-        sup = ShardSupervisor(
-            loop,
-            wal_root,
+        sup = Router(
+            loop=loop,
+            wal_root=wal_root,
             shards=shards,
             scope_factory=_factory,
             heartbeat_ms=HEARTBEAT_MS,

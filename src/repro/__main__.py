@@ -259,7 +259,7 @@ def _cmd_faults(args: argparse.Namespace) -> int:
     import numpy as np
 
     from repro.core.signal import buffer_signal
-    from repro.net import ShardSupervisor, shard_of
+    from repro.net import Router, shard_of
 
     signals = [f"sig{i}" for i in range(args.signals)]
 
@@ -274,9 +274,9 @@ def _cmd_faults(args: argparse.Namespace) -> int:
     def run(wal_root, inject):
         rng = random.Random(args.seed)
         loop = MainLoop()
-        sup = ShardSupervisor(
-            loop,
-            wal_root,
+        sup = Router(
+            loop=loop,
+            wal_root=wal_root,
             shards=args.shards,
             scope_factory=factory,
             heartbeat_ms=args.heartbeat,

@@ -13,7 +13,7 @@ binary-wire speed):
 * :func:`export_text` / :func:`import_text` — the Section 3.3 tuple text
   format as a lossless interchange codec for the same data.
 * :func:`capture_sharded` — one segment stream per shard of a
-  :class:`~repro.net.shard.ShardedScopeManager`.
+  :class:`~repro.net.router.Router`.
 """
 
 from repro.capture.convert import export_text, import_text

@@ -4,7 +4,7 @@ A :class:`ReplaySource` is an event-loop :class:`~repro.eventloop.sources.Source
 that re-pushes a capture's recorded batches into anything exposing the
 manager push protocol (``push_samples(name, times, values)`` — a
 :class:`~repro.core.manager.ScopeManager`, a
-:class:`~repro.net.shard.ShardedScopeManager`, or a single
+:class:`~repro.net.router.Router`, or a single
 :class:`~repro.core.scope.Scope`).  It is the Section 3.3 player for the
 columnar store: play, pause, resume, seek, rewind, and an arbitrary
 replay rate.

@@ -340,8 +340,8 @@ def capture_sharded(sharded, root: Union[str, Path], **writer_opts) -> List[Capt
     """Capture a sharded fan-in: one segment stream per shard.
 
     Attaches one :class:`CaptureWriter` (under ``root/shard-NN/``) as a
-    tap on each per-shard manager of a
-    :class:`~repro.net.shard.ShardedScopeManager`, so every shard's
+    tap on each per-shard manager of an in-loop
+    :class:`~repro.net.router.Router`, so every shard's
     offered stream lands in its own store.  Replay each store into the
     matching (or a fresh) sharded manager — routing is a stable hash of
     the name, so the streams re-partition identically.

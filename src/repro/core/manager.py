@@ -27,6 +27,23 @@ except ImportError:  # pragma: no cover - obs package absent
 RESERVED_PREFIX = "__obs."
 
 
+def check_user_name(name: str, error: type = ScopeError) -> None:
+    """Reject a user push under the reserved ``__obs.`` namespace.
+
+    Names under :data:`RESERVED_PREFIX` belong to the self-instrumentation
+    publisher, which enters through the trusted ``push_obs`` paths; a
+    user push of one raises ``error``, so user data can never masquerade
+    as — or collide with — internal telemetry.  The wire boundary passes
+    its protocol error, so the violation disconnects just that session.
+    """
+    if name.startswith(RESERVED_PREFIX):
+        raise error(
+            f"signal name {name!r} is reserved: the {RESERVED_PREFIX!r} "
+            "namespace carries self-instrumentation samples "
+            "(published via MetricsPublisher, not user pushes)"
+        )
+
+
 class ScopeManager:
     """Registry of scopes sharing one :class:`MainLoop`."""
 
@@ -82,8 +99,8 @@ class ScopeManager:
     def adopt_scope(self, scope: Scope) -> None:
         """Register an existing scope (the rebalancing seam).
 
-        A :class:`~repro.net.shard.ShardedScopeManager` migrating a
-        scope between shards releases it from one manager and adopts it
+        A :class:`~repro.net.router.Router` migrating a scope between
+        shards releases it from one manager and adopts it
         into another.  The scope keeps its loop, its polling state and
         every trace — adoption is pure registry bookkeeping, so it must
         only happen between managers sharing the scope's loop.
@@ -176,17 +193,10 @@ class ScopeManager:
         how the server side of the client-server library fans a remote
         signal out to "one or more scopes" (Section 4.4).
 
-        Names under ``__obs.`` are reserved for the self-instrumentation
-        publisher (which enters through :meth:`push_obs`); pushing one
-        here is an error, so user data can never masquerade as — or
-        collide with — internal telemetry.
+        Names under ``__obs.`` are rejected (see :func:`check_user_name`);
+        the self-instrumentation publisher enters through :meth:`push_obs`.
         """
-        if name.startswith(RESERVED_PREFIX):
-            raise ScopeError(
-                f"signal name {name!r} is reserved: the {RESERVED_PREFIX!r} "
-                "namespace carries self-instrumentation samples "
-                "(published via MetricsPublisher, not user pushes)"
-            )
+        check_user_name(name)
         # One clock read serves the tap and every scope's late-drop
         # decision, so what the capture records is exactly what the
         # buffers compared against (bit-exact replay under any clock).
@@ -210,12 +220,7 @@ class ScopeManager:
 
         ``__obs.``-prefixed names are rejected like :meth:`push_sample`.
         """
-        if name.startswith(RESERVED_PREFIX):
-            raise ScopeError(
-                f"signal name {name!r} is reserved: the {RESERVED_PREFIX!r} "
-                "namespace carries self-instrumentation samples "
-                "(published via MetricsPublisher, not user pushes)"
-            )
+        check_user_name(name)
         return self._deliver(name, times, values)
 
     def push_obs(self, name: str, times, values) -> int:

@@ -20,10 +20,8 @@ them here.  This module owns the *mechanism* only:
 Backend selection is environment-driven and resolved once:
 
 * ``REPRO_NATIVE=0``  — numpy only; no fusion, no compiled kernels.
-* ``REPRO_NATIVE=numba`` — prefer a numba-jitted kernel; numba missing
-  or failing degrades to numpy (never an error).
-* unset / ``1`` / ``c`` — prefer generated C when a compiler exists,
-  else numpy.
+* unset / ``1`` / ``c`` / any other value — prefer generated C when a
+  compiler exists, else numpy.
 
 ``REPRO_DEBUG_ZEROCOPY=1`` additionally arms the zero-copy guards on
 the hot data path (decoder/source pass-through asserts that emitted
@@ -86,18 +84,12 @@ def _resolve_mode() -> str:
     raw = os.environ.get("REPRO_NATIVE", "").strip().lower()
     if raw in ("0", "off", "numpy"):
         return "numpy"
-    if raw == "numba":
-        try:  # the gate: numba is optional and may be absent
-            import numba  # noqa: F401
-        except Exception:
-            return "numpy"
-        return "numba"
     # "", "1", "c", "auto", anything else: C if a compiler exists.
     return "c" if compiler() is not None else "numpy"
 
 
 def mode() -> str:
-    """Resolved backend: ``"c"``, ``"numba"`` or ``"numpy"``.
+    """Resolved backend: ``"c"`` or ``"numpy"``.
 
     Read from ``REPRO_NATIVE`` once and cached; tests changing the
     environment call :func:`reset`.
@@ -109,7 +101,7 @@ def mode() -> str:
 
 
 def available() -> bool:
-    """True when a compiled backend (C or numba) is active."""
+    """True when the compiled C backend is active."""
     return mode() != "numpy"
 
 

@@ -5,25 +5,32 @@ Clients use :class:`~repro.net.client.ScopeClient` to connect to a
 server built on :class:`~repro.net.server.ScopeServer`.  Clients
 asynchronously send BUFFER signal data — by default as binary columnar
 frames (contiguous ``float64`` time/value columns, names interned per
-connection), with the paper's textual tuple format (Section 3.3) kept as
-a negotiated compatibility mode.  The server receives from one or more
-clients, buffers the samples and displays them on one or more scopes
-after the user-specified delay.  Data arriving after its delay slot is
-dropped immediately — the :class:`~repro.core.buffer.SampleBuffer`
-enforces that rule.
+connection, checksummed), with the paper's textual tuple format
+(Section 3.3) kept as a compatibility mode.  The server receives from
+one or more clients, buffers the samples and displays them on one or
+more scopes after the user-specified delay.  Data arriving after its
+delay slot is dropped immediately — the
+:class:`~repro.core.buffer.SampleBuffer` enforces that rule.
 
 Everything is single-threaded and event-driven: both ends attach
 :class:`~repro.eventloop.sources.IOWatch` sources to the same main-loop
 machinery that drives polling, exactly like the C library rides glib's
 ``GIOChannel`` watches.  Two transports are provided: an in-memory pair
 (deterministic, virtual-clock friendly, can model network latency) and a
-real non-blocking socket pair.  For fan-in beyond one scope registry,
-:class:`~repro.net.shard.ShardedScopeManager` partitions the signal
-namespace across per-shard managers by stable name hash — and its
-multi-core counterpart :class:`~repro.net.shard.ProcessShardedScopeManager`
-puts each shard in a worker *process* (see :mod:`repro.net.worker`),
-supervised with WAL-backed respawn by
-:class:`~repro.net.supervisor.ProcessShardSupervisor`.
+real non-blocking socket pair.
+
+For fan-in beyond one scope registry, one
+:class:`~repro.net.router.Router` partitions the signal namespace over
+a consistent-hash ring (:mod:`repro.net.shard`).  Its shards run on the
+router loop, on supervised private loops
+(:class:`~repro.net.host.ShardHost`), or in forked worker processes
+(:mod:`repro.net.worker`); ``wal_root=`` adds write-ahead logging,
+failure detection and byte-identical restart to either backend.
+
+Module imports point one way (``tests/net/test_imports.py`` checks
+it): ``router`` imports ``worker``, which imports ``host``, which
+imports ``shard``; ``protocol`` and ``transport`` import no other
+module of the package.
 """
 
 from repro.net.client import ScopeClient
@@ -50,22 +57,10 @@ from repro.net.protocol import (
 from repro.net.client import Subscription
 from repro.net.queryservice import QueryMultiplexer, SharedQuery
 from repro.net.server import ClientState, ScopeServer
-from repro.net.shard import (
-    HashRing,
-    ProcessShardedScopeManager,
-    ShardStats,
-    ShardedScopeManager,
-    shard_of,
-)
-from repro.net.supervisor import (
-    ProcessShardSupervisor,
-    ShardDown,
-    ShardHost,
-    ShardState,
-    ShardSupervisor,
-    SupervisionStats,
-)
+from repro.net.shard import HashRing, ShardStats, shard_of
+from repro.net.host import ShardDown, ShardHost, ShardState, SupervisionStats
 from repro.net.worker import ShmRing, WorkerDied, WorkerHandle
+from repro.net.router import ProcessShardedScopeManager, Router, ShardedScopeManager
 from repro.net.transport import (
     LatencyLink,
     MemoryEndpoint,
@@ -86,10 +81,10 @@ __all__ = [
     "LineDecoder",
     "MemoryEndpoint",
     "PROTOCOL_VERSION",
-    "ProcessShardSupervisor",
     "ProcessShardedScopeManager",
     "ProtocolError",
     "QueryMultiplexer",
+    "Router",
     "SUPPORTED_VERSIONS",
     "ScopeClient",
     "ScopeServer",
@@ -99,7 +94,6 @@ __all__ = [
     "ShardHost",
     "ShardState",
     "ShardStats",
-    "ShardSupervisor",
     "ShardedScopeManager",
     "ShmRing",
     "SocketEndpoint",

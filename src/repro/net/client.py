@@ -73,8 +73,6 @@ from repro.eventloop.clock import Clock
 from repro.eventloop.loop import MainLoop
 from repro.eventloop.sources import IOCondition
 from repro.net.protocol import (
-    PROTOCOL_VERSION,
-    SUPPORTED_VERSIONS,
     FrameDecoder,
     FrameKind,
     ProtocolError,
@@ -236,13 +234,6 @@ class ScopeClient:
         lockstep.
     backoff_seed:
         Seed for the jitter stream — reconnect timing is replayable.
-    wire_version:
-        Binary protocol version to emit (default: the current
-        :data:`~repro.net.protocol.PROTOCOL_VERSION`).  Pin ``1`` to
-        talk to an old peer that predates checksummed frames — the
-        version byte in every frame header is all the negotiation the
-        protocol needs, at the cost of v1's blindness to payload
-        corruption.
     """
 
     def __init__(
@@ -255,16 +246,9 @@ class ScopeClient:
         backoff_base_ms: float = 50.0,
         backoff_cap_ms: float = 5000.0,
         backoff_seed: int = 0,
-        wire_version: int = PROTOCOL_VERSION,
     ) -> None:
         if max_queue <= 0:
             raise ValueError(f"max_queue must be positive: {max_queue}")
-        if wire_version not in SUPPORTED_VERSIONS:
-            raise ValueError(
-                f"unsupported wire_version {wire_version}; "
-                f"supported: {sorted(SUPPORTED_VERSIONS)}"
-            )
-        self.wire_version = int(wire_version)
         if mode not in ("binary", "text"):
             raise ValueError(f"mode must be 'binary' or 'text': {mode!r}")
         if backoff_base_ms <= 0 or backoff_cap_ms < backoff_base_ms:
@@ -330,13 +314,11 @@ class ScopeClient:
         name_id = self._name_ids.get(name)
         if name_id is None:
             if not self._hello_queued:
-                self._control.append(encode_hello(self.wire_version))
+                self._control.append(encode_hello())
                 self._hello_queued = True
             name_id = len(self._name_ids)
             self._name_ids[name] = name_id
-            self._control.append(
-                encode_name_def(name_id, name, version=self.wire_version)
-            )
+            self._control.append(encode_name_def(name_id, name))
         return name_id
 
     def send_sample(
@@ -350,10 +332,7 @@ class ScopeClient:
         stamp = self.clock.now() if time_ms is None else float(time_ms)
         if self.mode == "binary":
             frame = encode_binary_samples(
-                self._intern(name),
-                (stamp,),
-                (float(value),),
-                version=self.wire_version,
+                self._intern(name), (stamp,), (float(value),)
             )
         else:
             frame = encode_sample(stamp, value, name)
@@ -388,9 +367,7 @@ class ScopeClient:
                     f"times and values must be equal length: {t.shape} vs {v.shape}"
                 )
         if self.mode == "binary":
-            frame = encode_binary_samples(
-                self._intern(name), t, v, version=self.wire_version
-            )
+            frame = encode_binary_samples(self._intern(name), t, v)
         else:
             frame = encode_samples(t, v, name)
         if frame:
@@ -470,7 +447,7 @@ class ScopeClient:
             sub.on_batch(on_batch)
         self._subs[qid] = sub
         if not self._hello_queued:
-            self._control.append(encode_hello(self.wire_version))
+            self._control.append(encode_hello())
             self._hello_queued = True
         self._control.append(self._query_preamble(sub))
         self._control.append(encode_query({"op": "subscribe", "id": qid}))
@@ -632,11 +609,9 @@ class ScopeClient:
         # ahead of any queued data frame that references those ids.
         self._control.clear()
         if self._hello_queued:
-            self._control.append(encode_hello(self.wire_version))
+            self._control.append(encode_hello())
             for name, name_id in sorted(self._name_ids.items(), key=lambda kv: kv[1]):
-                self._control.append(
-                    encode_name_def(name_id, name, version=self.wire_version)
-                )
+                self._control.append(encode_name_def(name_id, name))
         # Re-establish every active subscription: the fresh session
         # recompiles (sharing the same canonical plan server-side) and
         # resumes the derived stream; each Subscription's monotonic

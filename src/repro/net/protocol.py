@@ -16,7 +16,7 @@ Binary frame layout (all integers little-endian)::
 
     offset  size  field
     0       2     magic     0xA5 0x53
-    2       1     version   1 or 2
+    2       1     version   2
     3       1     kind      0=HELLO 1=NAME_DEF 2=SAMPLES 3=DELIVER
                             4=CONTROL 5=QUERY
     4       4     name_id   uint32 (0 for HELLO/CONTROL/QUERY)
@@ -26,19 +26,18 @@ Binary frame layout (all integers little-endian)::
                             NAME_DEF: `count` bytes of UTF-8 signal name,
                                       binding it to `name_id`
                             SAMPLES:  count*8 bytes float64 times, then
-                                      count*8 bytes float64 values;
-                                      version 2 appends a uint32 crc32 of
-                                      the two columns
-                            DELIVER:  (version 2 only) one float64
+                                      count*8 bytes float64 values, then
+                                      a uint32 crc32 of the two columns
+                            DELIVER:  one float64
                                       delivery instant, then the SAMPLES
                                       columns and their crc32 — the
                                       router→worker push of the process
                                       shard plane
-                            CONTROL:  (version 2 only) `count` bytes of
+                            CONTROL:  `count` bytes of
                                       UTF-8 JSON — the supervision side
                                       channel (heartbeats, stats, snapshot
                                       and shutdown commands)
-                            QUERY:    (version 2 only) `count` bytes of
+                            QUERY:    `count` bytes of
                                       UTF-8 JSON — the continuous-query
                                       channel: query/subscribe/unsubscribe
                                       requests client→server and their
@@ -51,15 +50,14 @@ id.  The magic's first byte (0xA5) can never begin a valid text line
 from the first received byte — no out-of-band negotiation needed, and old
 text clients keep working unchanged.
 
-Version negotiation is equally in-band: every frame header carries its
-version, decoders accept every version in :data:`SUPPORTED_VERSIONS`, and
-encoders take a ``version=`` argument so a new client can keep speaking
-version 1 to an old server.  Version 2 exists because version-1 SAMPLES
-payloads had no integrity check — a fault flipping one byte of a float64
-column delivered a *wrong value* instead of an error.  Under version 2
-the column bytes are covered by a trailing crc32; a mismatch raises
-:class:`ProtocolError` and the connection dies before a corrupt sample
-reaches a scope.
+Every frame header carries its version, and decoders accept only the
+versions in :data:`SUPPORTED_VERSIONS`; any other version byte is a
+:class:`ProtocolError`, so the session is disconnected.  Version 2 is
+the only one: its SAMPLES and DELIVER column bytes are covered by a
+trailing crc32, and a mismatch raises :class:`ProtocolError` so the
+connection dies before a corrupt sample reaches a scope.  (Version 1
+carried no checksum, so one flipped payload byte delivered a wrong
+value; it had no peers outside this package and was removed.)
 
 Both decoders are incremental — network reads arrive in arbitrary
 chunks, so stateful decoders carry partial lines / partial frames
@@ -209,15 +207,13 @@ def decode_lines(
 MAGIC = b"\xa5\x53"
 #: The version new encoders speak by default (checksummed columns).
 PROTOCOL_VERSION = 2
-#: Every version this decoder accepts.  Version 1 stays live so old
-#: peers keep working; only version 2 carries column checksums and the
-#: DELIVER/CONTROL supervision kinds.
-SUPPORTED_VERSIONS = frozenset({1, 2})
+#: Every version this decoder accepts.
+SUPPORTED_VERSIONS = frozenset({PROTOCOL_VERSION})
 
 #: magic(2s) version(B) kind(B) name_id(I) count(I), little-endian.
 FRAME_HEADER = struct.Struct("<2sBBII")
 
-#: Trailing column checksum on v2 SAMPLES/DELIVER payloads.
+#: Trailing column checksum on SAMPLES/DELIVER payloads.
 _CRC_TRAILER = struct.Struct("<I")
 #: Leading float64 delivery instant on DELIVER payloads.
 _DELIVER_NOW = struct.Struct("<d")
@@ -238,9 +234,9 @@ class FrameKind(enum.IntEnum):
     HELLO = 0
     NAME_DEF = 1
     SAMPLES = 2
-    DELIVER = 3  # v2: router→worker push carrying the delivery instant
-    CONTROL = 4  # v2: JSON supervision side channel
-    QUERY = 5  # v2: JSON continuous-query channel (subscribe plane)
+    DELIVER = 3  # router→worker push carrying the delivery instant
+    CONTROL = 4  # JSON supervision side channel
+    QUERY = 5  # JSON continuous-query channel (subscribe plane)
 
 
 @dataclass(frozen=True)
@@ -260,15 +256,6 @@ class Frame:
         return 0 if self.times is None else int(self.times.shape[0])
 
 
-def _check_version(version: int) -> int:
-    if version not in SUPPORTED_VERSIONS:
-        raise ValueError(
-            f"cannot encode protocol version {version}: "
-            f"supported {sorted(SUPPORTED_VERSIONS)}"
-        )
-    return int(version)
-
-
 def encode_hello(version: int = PROTOCOL_VERSION) -> bytes:
     """The handshake frame a binary client sends first.
 
@@ -277,10 +264,15 @@ def encode_hello(version: int = PROTOCOL_VERSION) -> bytes:
     frame, so a stream surviving queue pressure without its HELLO still
     decodes — the handshake pins the version early, nothing more.
     """
-    return FRAME_HEADER.pack(MAGIC, _check_version(version), FrameKind.HELLO, 0, 0)
+    if version not in SUPPORTED_VERSIONS:
+        raise ValueError(
+            f"cannot encode protocol version {version}: "
+            f"supported {sorted(SUPPORTED_VERSIONS)}"
+        )
+    return FRAME_HEADER.pack(MAGIC, version, FrameKind.HELLO, 0, 0)
 
 
-def encode_name_def(name_id: int, name: str, version: int = PROTOCOL_VERSION) -> bytes:
+def encode_name_def(name_id: int, name: str) -> bytes:
     """Bind ``name_id`` to ``name`` for the rest of the connection."""
     if any(ch.isspace() for ch in name):
         # Same rule as the text format, so signals round-trip between
@@ -294,7 +286,7 @@ def encode_name_def(name_id: int, name: str, version: int = PROTOCOL_VERSION) ->
             f"signal name of {len(raw)} bytes exceeds the {MAX_NAME_BYTES}-byte cap"
         )
     header = FRAME_HEADER.pack(
-        MAGIC, _check_version(version), FrameKind.NAME_DEF, name_id, len(raw)
+        MAGIC, PROTOCOL_VERSION, FrameKind.NAME_DEF, name_id, len(raw)
     )
     return header + raw
 
@@ -313,32 +305,29 @@ def encode_binary_samples(
     name_id: int,
     times: Sequence[float],
     values: Sequence[float],
-    version: int = PROTOCOL_VERSION,
 ) -> bytes:
     """Encode one signal's sample batch as contiguous float64 columns.
 
     Returns ``b""`` for an empty batch.  Batches beyond
     :data:`MAX_FRAME_SAMPLES` are split across several frames so any
-    caller-side batch size stays decodable.  Under version 2 the two
-    columns are followed by their crc32; version 1 omits it (for old
-    peers) and inherits v1's blindness to payload corruption.
+    caller-side batch size stays decodable.  The two columns are
+    followed by their crc32.
     """
-    _check_version(version)
     t, v, n = _columns(times, values)
     if n == 0:
         return b""
     if n <= MAX_FRAME_SAMPLES:
-        header = FRAME_HEADER.pack(MAGIC, version, FrameKind.SAMPLES, name_id, n)
+        header = FRAME_HEADER.pack(
+            MAGIC, PROTOCOL_VERSION, FrameKind.SAMPLES, name_id, n
+        )
         tb = t.tobytes()
         vb = v.tobytes()
-        if version < 2:
-            return header + tb + vb
         crc = zlib.crc32(vb, zlib.crc32(tb))
         return header + tb + vb + _CRC_TRAILER.pack(crc)
     parts = []
     for start in range(0, n, MAX_FRAME_SAMPLES):
         sl = slice(start, min(start + MAX_FRAME_SAMPLES, n))
-        parts.append(encode_binary_samples(name_id, t[sl], v[sl], version))
+        parts.append(encode_binary_samples(name_id, t[sl], v[sl]))
     return b"".join(parts)
 
 
@@ -353,13 +342,13 @@ def encode_deliver(
     The payload leads with the router's ``now`` as one float64 so the
     worker replays the exact delivery timeline (its virtual clock runs
     ``run_through(now)`` before ingesting), then carries the SAMPLES
-    columns and their crc32.  DELIVER exists only under version 2.
+    columns and their crc32.
     """
     t, v, n = _columns(times, values)
     if n == 0:
         return b""
     if n <= MAX_FRAME_SAMPLES:
-        header = FRAME_HEADER.pack(MAGIC, 2, FrameKind.DELIVER, name_id, n)
+        header = FRAME_HEADER.pack(MAGIC, PROTOCOL_VERSION, FrameKind.DELIVER, name_id, n)
         tb = t.tobytes()
         vb = v.tobytes()
         crc = zlib.crc32(vb, zlib.crc32(tb))
@@ -375,7 +364,7 @@ def encode_control(payload: Dict[str, Any]) -> bytes:
     """Encode one JSON control message (heartbeat, stats, snapshot, ...).
 
     Binary blobs travel base64-inside-JSON; the whole message is capped
-    at :data:`MAX_CONTROL_BYTES`.  CONTROL exists only under version 2.
+    at :data:`MAX_CONTROL_BYTES`.
     """
     raw = json.dumps(payload, separators=(",", ":")).encode("utf-8")
     if len(raw) > MAX_CONTROL_BYTES:
@@ -383,7 +372,7 @@ def encode_control(payload: Dict[str, Any]) -> bytes:
             f"control payload of {len(raw)} bytes exceeds the "
             f"{MAX_CONTROL_BYTES}-byte cap"
         )
-    return FRAME_HEADER.pack(MAGIC, 2, FrameKind.CONTROL, 0, len(raw)) + raw
+    return FRAME_HEADER.pack(MAGIC, PROTOCOL_VERSION, FrameKind.CONTROL, 0, len(raw)) + raw
 
 
 def encode_query(payload: Dict[str, Any]) -> bytes:
@@ -394,8 +383,7 @@ def encode_query(payload: Dict[str, Any]) -> bytes:
     ``compiled``/``error``/``end`` replies (see
     :mod:`repro.net.queryservice`).  The query *results* never travel
     this way — derived columns flow back as ordinary NAME_DEF + SAMPLES
-    frames, the same bytes a raw signal would use.  QUERY exists only
-    under version 2.
+    frames, the same bytes a raw signal would use.
     """
     raw = json.dumps(payload, separators=(",", ":")).encode("utf-8")
     if len(raw) > MAX_CONTROL_BYTES:
@@ -403,7 +391,7 @@ def encode_query(payload: Dict[str, Any]) -> bytes:
             f"query payload of {len(raw)} bytes exceeds the "
             f"{MAX_CONTROL_BYTES}-byte cap"
         )
-    return FRAME_HEADER.pack(MAGIC, 2, FrameKind.QUERY, 0, len(raw)) + raw
+    return FRAME_HEADER.pack(MAGIC, PROTOCOL_VERSION, FrameKind.QUERY, 0, len(raw)) + raw
 
 
 class FrameDecoder:
@@ -486,29 +474,23 @@ class FrameDecoder:
             raise ProtocolError(f"bad frame magic: {bytes(magic)!r}")
         if version not in SUPPORTED_VERSIONS:
             raise ProtocolError(
-                f"unsupported protocol version {version} "
-                f"(speak one of {sorted(SUPPORTED_VERSIONS)})"
+                f"unsupported protocol version {version}: frames require "
+                f"protocol version {PROTOCOL_VERSION}"
             )
         try:
             kind = FrameKind(kind_raw)
         except ValueError:
             raise ProtocolError(f"unknown frame kind: {kind_raw}") from None
-        if (
-            kind in (FrameKind.DELIVER, FrameKind.CONTROL, FrameKind.QUERY)
-            and version < 2
-        ):
-            raise ProtocolError(f"{kind.name} frames require protocol version 2")
         if kind in (FrameKind.SAMPLES, FrameKind.DELIVER):
             if count > MAX_FRAME_SAMPLES:
                 raise ProtocolError(
                     f"{kind.name} frame of {count} samples exceeds the "
                     f"{MAX_FRAME_SAMPLES}-sample cap"
                 )
-            # v2 columns carry a trailing crc32; DELIVER also leads with
+            # Columns carry a trailing crc32; DELIVER also leads with
             # the float64 delivery instant.
-            checksummed = version >= 2
             lead = _DELIVER_NOW.size if kind is FrameKind.DELIVER else 0
-            payload_size = lead + 16 * count + (_CRC_TRAILER.size if checksummed else 0)
+            payload_size = lead + 16 * count + _CRC_TRAILER.size
         elif kind in (FrameKind.CONTROL, FrameKind.QUERY):
             if count > MAX_CONTROL_BYTES:
                 raise ProtocolError(
@@ -539,17 +521,14 @@ class FrameDecoder:
             if kind is FrameKind.DELIVER:
                 (now,) = _DELIVER_NOW.unpack_from(source, offset)
                 offset += _DELIVER_NOW.size
-            if checksummed:
-                with memoryview(source) as view:
-                    columns = view[offset : offset + 16 * count]
-                    (expect,) = _CRC_TRAILER.unpack_from(
-                        source, offset + 16 * count
+            with memoryview(source) as view:
+                columns = view[offset : offset + 16 * count]
+                (expect,) = _CRC_TRAILER.unpack_from(source, offset + 16 * count)
+                if zlib.crc32(columns) != expect:
+                    raise ProtocolError(
+                        f"{kind.name} column checksum mismatch "
+                        f"(corrupt frame of {count} samples)"
                     )
-                    if zlib.crc32(columns) != expect:
-                        raise ProtocolError(
-                            f"{kind.name} column checksum mismatch "
-                            f"(corrupt frame of {count} samples)"
-                        )
             times = np.frombuffer(source, dtype="<f8", count=count, offset=offset)
             values = np.frombuffer(
                 source, dtype="<f8", count=count, offset=offset + 8 * count

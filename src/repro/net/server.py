@@ -9,7 +9,7 @@ A :class:`ScopeServer` owns a set of client connections (each an I/O
 watch on the shared single-threaded main loop) and forwards decoded
 samples into a scope manager — either a plain
 :class:`~repro.core.manager.ScopeManager` or a
-:class:`~repro.net.shard.ShardedScopeManager` — which fans each sample
+:class:`~repro.net.router.Router` — which fans each sample
 out to every scope carrying a BUFFER signal of that name.  The late-drop
 rule lives in :class:`~repro.core.buffer.SampleBuffer`; the server just
 counts what was dropped so experiments can report it.
@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.core.cells import Counter
-from repro.core.manager import RESERVED_PREFIX
+from repro.core.manager import check_user_name
 from repro.core.tuples import Tuple3, TupleFormatError
 from repro.eventloop.loop import MainLoop
 from repro.eventloop.sources import IOCondition
@@ -97,12 +97,14 @@ class ScopeServer:
         Scope registry; samples are fanned out to every scope holding a
         BUFFER signal with the sample's name.  Anything exposing the
         manager protocol works — a plain :class:`ScopeManager` or a
-        :class:`~repro.net.shard.ShardedScopeManager`.
+        :class:`~repro.net.router.Router`.
     auto_create:
         When a sample names a signal no scope carries, create a BUFFER
         signal for it (on the first registered scope / the name's home
         shard) — convenient for exploratory monitoring; off by default
-        because the paper's flow registers signals explicitly.
+        because the paper's flow registers signals explicitly.  Not
+        available over worker shards, whose signals live in the child
+        processes and are created by their ``scope_factory``.
     max_drain_bytes:
         Per-wakeup receive budget: one readable dispatch drains up to
         this many bytes before yielding the loop, so one firehose client
@@ -118,6 +120,11 @@ class ScopeServer:
     ) -> None:
         if max_drain_bytes <= 0:
             raise ValueError(f"max_drain_bytes must be positive: {max_drain_bytes}")
+        if auto_create and getattr(manager, "backend", None) == "worker":
+            raise ValueError(
+                "auto_create needs the scopes in this process; worker shards "
+                "create their signals in scope_factory"
+            )
         self.loop = loop
         self.manager = manager
         self.auto_create = auto_create
@@ -264,15 +271,11 @@ class ScopeServer:
                 raise ProtocolError(
                     f"SAMPLES frame references undefined name id {frame.name_id}"
                 )
-            if name.startswith(RESERVED_PREFIX):
-                # Remote peers never publish internal telemetry; letting
-                # the manager's ScopeError escape here would tear down
-                # the loop dispatch, so the violation is classified at
-                # the wire boundary and disconnects just this session.
-                raise ProtocolError(
-                    f"signal name {name!r} is reserved for server-side "
-                    "self-instrumentation"
-                )
+            # Remote peers never publish internal telemetry; letting
+            # the manager's ScopeError escape here would tear down the
+            # loop dispatch, so the violation is classified at the wire
+            # boundary and disconnects just this session.
+            check_user_name(name, ProtocolError)
             n = len(frame)
             state.received += n
             cells["received"].inc(n)
@@ -322,11 +325,7 @@ class ScopeServer:
                 tuples[j].name if tuples[j].name is not None else "signal"
             ) == name:
                 j += 1
-            if name.startswith(RESERVED_PREFIX):
-                raise ProtocolError(
-                    f"signal name {name!r} is reserved for server-side "
-                    "self-instrumentation"
-                )
+            check_user_name(name, ProtocolError)
             self._ensure_signal(name)
             times = [t.time_ms for t in tuples[i:j]]
             values = [t.value for t in tuples[i:j]]

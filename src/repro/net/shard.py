@@ -1,78 +1,44 @@
-"""Sharded telemetry fan-in: partitioning the signal namespace.
+"""Shard placement and accounting: the hash ring and the shard ledger.
 
-One :class:`~repro.core.manager.ScopeManager` fans every sample out over
-one set of scopes; at production fan-in scale (many clients, many
-signals) that single registry becomes the ingest bottleneck.  A
-:class:`ShardedScopeManager` splits the *signal namespace* across N
-per-shard managers by a stable hash of the signal name, so:
+Sharded fan-in splits the *signal namespace* across N shards by a
+stable hash of the signal name (the router itself is
+:class:`~repro.net.router.Router`).  This module holds the two pieces
+every shard backend shares:
 
-* routing is O(1) and deterministic — the same name lands on the same
-  shard on every run and every host (a keyed BLAKE2 ring, not Python's
-  salted ``hash``),
-* shards can share one main loop (single-threaded, the paper's model)
-  or each own a loop — the seam for running shards on separate cores or
-  processes later,
-* per-shard counters expose the backpressure story: a shard whose
-  scopes fall behind shows up as late-drops *on that shard*, mirroring
-  the paper's Section 4.4 rule (data arriving after its display slot is
-  dropped immediately, and the drop is counted, not hidden).
+* :class:`HashRing` — deterministic placement.  The same name lands on
+  the same shard on every run and every host (a keyed BLAKE2 ring, not
+  Python's salted ``hash``);
+* :class:`ShardStats` — the per-shard ingest ledger (offered, accepted,
+  late-dropped, ...).  A shard whose scopes fall behind shows up as
+  late drops *on that shard*, mirroring the paper's Section 4.4 rule:
+  data arriving after its display slot is dropped immediately, and the
+  drop is counted, not hidden.
 
 Consistent hashing
 ------------------
 
-Placement runs on a :class:`HashRing`: each shard owns ``replicas``
-pseudo-random points on a 64-bit circle and a name belongs to the shard
-owning the first point clockwise of the name's hash.  Unlike
-``hash mod N``, membership changes are *local*: adding or removing one
-shard remaps only the keys that fall into the changed arcs — about
-``1/N`` of the namespace — instead of reshuffling nearly everything.
-That is what makes shard add/remove (:meth:`ShardedScopeManager.add_shard`
-/ :meth:`~ShardedScopeManager.remove_shard`) and supervised failover
-affordable on a live namespace.  Every membership change bumps
-``topology_version``, which invalidates the manager's own routing cache
-and every downstream carried-name cache (the server's auto-create path
-keys on it).
-
-The sharded manager satisfies the same manager protocol the
-:class:`~repro.net.server.ScopeServer` consumes (``push_samples``,
-``carries``, ``auto_create``, ``topology_version``), so a server can be
-pointed at either interchangeably.
-
-Placement contract: a signal lives on its home shard,
-``shard_of(name)``.  ``scope_new`` places each scope on the shard of
-the *scope's* name by default (override with ``shard=``); register a
-signal on a scope whose shard matches the signal's home —
-``signal_home`` tells you which that is — or simply let ``auto_create``
-do it.  Pushes route to the home shard only; a scope on a foreign shard
-never sees the signal, by design (that is what makes routing O(1)).
-After a membership change, rebalancing migrates each *scope* to its
-name's new home; a signal whose home moved away from its carrying scope
-is re-registered on its new home by ``auto_create`` (or explicitly).
+Each shard owns ``replicas`` pseudo-random points on a 64-bit circle and
+a name belongs to the shard owning the first point clockwise of the
+name's hash.  Unlike ``hash mod N``, membership changes are *local*:
+adding or removing one shard remaps only the keys that fall into the
+changed arcs — about ``1/N`` of the namespace — instead of reshuffling
+nearly everything.  That is what makes live shard add/remove affordable
+on a live namespace.
 """
 
 from __future__ import annotations
 
 import hashlib
 from functools import lru_cache
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
 
 from repro.core.cells import Counter
-from repro.core.manager import RESERVED_PREFIX, ScopeManager
-from repro.core.scope import Scope, ScopeError
-from repro.eventloop.loop import MainLoop
-
-try:  # optional self-instrumentation plane (absence changes no bytes)
-    from repro.obs import trace as _trace
-except ImportError:  # pragma: no cover - obs package absent
-    _trace = None
 
 __all__ = [
     "HashRing",
-    "ProcessShardedScopeManager",
     "ShardStats",
-    "ShardedScopeManager",
     "shard_of",
 ]
 
@@ -253,7 +219,7 @@ class ShardStats:
         """Every integer counter, by field name.
 
         Generic over :attr:`COUNTER_FIELDS` so subclasses adding
-        counters (:class:`~repro.net.supervisor.SupervisionStats`) are
+        counters (:class:`~repro.net.host.SupervisionStats`) are
         covered without overriding; non-counter fields (timestamps) are
         skipped.
         """
@@ -288,666 +254,3 @@ class ShardStats:
 
 
 ShardStats._install_cell_properties()
-
-
-class ShardedScopeManager:
-    """N per-shard :class:`ScopeManager`\\ s behind one routing facade.
-
-    Parameters
-    ----------
-    shards:
-        Initial number of partitions (shard ids ``0..shards-1``).  The
-        ring resizes live via :meth:`add_shard`/:meth:`remove_shard`.
-    loop:
-        Shared main loop for every shard (default: one fresh loop).
-        Mutually exclusive with ``loops``.
-    loops:
-        One loop per shard, for deployments that drive shards
-        independently.  Must have exactly ``shards`` entries.
-        Membership changes that migrate scopes require the shared-loop
-        layout.
-    replicas:
-        Ring points per shard (see :class:`HashRing`).
-    """
-
-    def __init__(
-        self,
-        shards: int = 4,
-        loop: Optional[MainLoop] = None,
-        loops: Optional[List[MainLoop]] = None,
-        replicas: int = DEFAULT_REPLICAS,
-    ) -> None:
-        if shards <= 0:
-            raise ValueError(f"shards must be positive: {shards}")
-        if loops is not None:
-            if loop is not None:
-                raise ValueError("pass either loop or loops, not both")
-            if len(loops) != shards:
-                raise ValueError(
-                    f"loops must have one entry per shard: {len(loops)} vs {shards}"
-                )
-            self._managers = {i: ScopeManager(l) for i, l in enumerate(loops)}
-            self._shared_loop: Optional[MainLoop] = None
-        else:
-            shared = loop if loop is not None else MainLoop()
-            self._managers = {i: ScopeManager(shared) for i in range(shards)}
-            self._shared_loop = shared
-        self._ring = HashRing(self._managers.keys(), replicas=replicas)
-        self._stats = {i: ShardStats() for i in self._managers}
-        self._retired = ShardStats()  # counters of removed shards
-        # name → shard id, invalidated wholesale on membership change.
-        self._route_cache: Dict[str, int] = {}
-        self._ring_version = 0
-        self._next_id = shards
-        # Taps attached through this facade (for tap_bytes accounting).
-        self._tap_count = 0
-        self._metrics_registry = None
-        self._metrics_prefix = "shard"
-
-    # ------------------------------------------------------------------
-    # Routing
-    # ------------------------------------------------------------------
-    @property
-    def n_shards(self) -> int:
-        return len(self._managers)
-
-    @property
-    def shard_ids(self) -> List[int]:
-        """Live shard ids, ascending (contiguous until membership changes)."""
-        return sorted(self._managers)
-
-    @property
-    def managers(self) -> List[ScopeManager]:
-        """The per-shard managers, in shard-id order."""
-        return [self._managers[i] for i in sorted(self._managers)]
-
-    def manager_of(self, shard_id: int) -> ScopeManager:
-        """The manager for an explicit shard id."""
-        try:
-            return self._managers[shard_id]
-        except KeyError:
-            raise ValueError(f"unknown shard id: {shard_id}") from None
-
-    @property
-    def loops(self) -> List[MainLoop]:
-        """Distinct loops driving the shards, in first-use order."""
-        seen: List[MainLoop] = []
-        for shard_id in sorted(self._managers):
-            loop = self._managers[shard_id].loop
-            if loop not in seen:
-                seen.append(loop)
-        return seen
-
-    def shard_of(self, name: str) -> int:
-        """Home shard id for a signal (or scope) name."""
-        shard_id = self._route_cache.get(name)
-        if shard_id is None:
-            shard_id = self._ring.locate(name)
-            self._route_cache[name] = shard_id
-        return shard_id
-
-    def signal_home(self, name: str) -> ScopeManager:
-        """The shard manager that owns signal ``name``."""
-        return self._managers[self.shard_of(name)]
-
-    # ------------------------------------------------------------------
-    # Ring membership (rebalancing)
-    # ------------------------------------------------------------------
-    def _migrate_scopes(self) -> int:
-        """Move every scope to its name's (possibly new) home shard.
-
-        Shared-loop only — adoption across loops is structurally
-        impossible (scope timers are bound to their loop).  Returns the
-        number of scopes that moved.
-        """
-        moved = 0
-        for shard_id in sorted(self._managers):
-            manager = self._managers[shard_id]
-            for scope in manager.scopes:
-                home = self.shard_of(scope.name)
-                if home != shard_id:
-                    self._managers[home].adopt_scope(manager.release_scope(scope.name))
-                    moved += 1
-        return moved
-
-    def _bump_ring(self) -> None:
-        self._ring_version += 1
-        self._route_cache.clear()
-
-    def add_shard(self) -> int:
-        """Add one shard; remap (and migrate) ~1/N of the namespace.
-
-        Returns the new shard id.  The new shard's manager rides the
-        shared loop; with per-shard loops, membership is frozen.
-        """
-        if self._shared_loop is None:
-            raise ValueError("add_shard requires the shared-loop layout")
-        shard_id = self._next_id
-        self._next_id += 1
-        self._managers[shard_id] = ScopeManager(self._shared_loop)
-        self._stats[shard_id] = ShardStats()
-        self._ring.add(shard_id)
-        self._bump_ring()
-        self._migrate_scopes()
-        self._remount_metrics()
-        return shard_id
-
-    def remove_shard(self, shard_id: int) -> None:
-        """Retire a shard; its ~1/N arc remaps to the survivors.
-
-        The retired shard's scopes migrate to their names' new homes
-        (shared-loop only) and its ingest counters fold into the
-        retained totals, so :meth:`totals` keeps counting its traffic.
-        """
-        if shard_id not in self._managers:
-            raise ValueError(f"unknown shard id: {shard_id}")
-        if len(self._managers) == 1:
-            raise ValueError("cannot remove the last shard")
-        if self._shared_loop is None:
-            raise ValueError("remove_shard requires the shared-loop layout")
-        self._ring.remove(shard_id)
-        self._bump_ring()
-        retiring = self._managers[shard_id]
-        for scope in retiring.scopes:
-            home = self.shard_of(scope.name)
-            self._managers[home].adopt_scope(retiring.release_scope(scope.name))
-        del self._managers[shard_id]
-        self._retired.fold(self._stats.pop(shard_id))
-        self._migrate_scopes()
-        self._remount_metrics()
-
-    def replace_manager(self, shard_id: int, manager: ScopeManager) -> ScopeManager:
-        """Swap in a fresh manager for ``shard_id`` (the failover seam).
-
-        Ring membership and routing are untouched — the shard keeps its
-        arc — but downstream carried-name caches must re-learn what the
-        fresh manager carries, so the ring version (and therefore
-        ``topology_version``) bumps.  Returns the manager it replaced.
-        """
-        old = self.manager_of(shard_id)
-        self._managers[shard_id] = manager
-        self._bump_ring()
-        return old
-
-    # ------------------------------------------------------------------
-    # Scope lifecycle (delegated to the owning shard)
-    # ------------------------------------------------------------------
-    def scope_new(
-        self, name: str, shard: Optional[int] = None, **kwargs: object
-    ) -> Scope:
-        """Create a scope on ``shard`` (default: the name's home shard)."""
-        shard_id = self.shard_of(name) if shard is None else shard
-        if shard_id not in self._managers:
-            raise ValueError(f"shard id out of range: {shard_id}")
-        return self._managers[shard_id].scope_new(name, **kwargs)
-
-    def scope_remove(self, name: str) -> None:
-        for manager in self._managers.values():
-            if name in manager:
-                manager.scope_remove(name)
-                return
-        raise ScopeError(f"unknown scope: {name!r}")
-
-    def scope(self, name: str) -> Scope:
-        for manager in self._managers.values():
-            if name in manager:
-                return manager.scope(name)
-        raise ScopeError(f"unknown scope: {name!r}")
-
-    def __contains__(self, name: str) -> bool:
-        return any(name in manager for manager in self._managers.values())
-
-    def __len__(self) -> int:
-        return sum(len(manager) for manager in self._managers.values())
-
-    @property
-    def scopes(self) -> List[Scope]:
-        """Every scope across every shard, in shard-id order."""
-        out: List[Scope] = []
-        for shard_id in sorted(self._managers):
-            out.extend(self._managers[shard_id].scopes)
-        return out
-
-    # ------------------------------------------------------------------
-    # Capture taps
-    # ------------------------------------------------------------------
-    def add_tap(self, tap) -> None:
-        """Attach one push tap across every shard.
-
-        A push routes to exactly one home shard, so the tap still sees
-        each offered batch once; the capture interleaves all shards into
-        one store.  Requires the shared-loop layout: with per-shard
-        loops the shards' clocks advance independently, so one
-        interleaved stream has no monotonic timeline — use
-        :func:`repro.capture.capture_sharded` there (and for the
-        scalable one-segment-stream-per-shard layout generally), which
-        taps each per-shard manager with its own writer.
-        """
-        if len(self.loops) > 1:
-            raise ValueError(
-                "one tap across per-shard loops has no monotonic clock; "
-                "use repro.capture.capture_sharded for one stream per shard"
-            )
-        for manager in self._managers.values():
-            manager.add_tap(tap)
-        self._tap_count += 1
-
-    def remove_tap(self, tap) -> None:
-        for manager in self._managers.values():
-            manager.remove_tap(tap)
-        self._tap_count -= 1
-
-    # ------------------------------------------------------------------
-    # Continuous queries
-    # ------------------------------------------------------------------
-    def attach_query(
-        self, query: str, params: Optional[Dict[str, float]] = None
-    ):
-        """Attach a continuous query as a facade-wide tap.
-
-        The query taps every shard (pushes route to one home shard, so
-        each offered batch is consumed once) and its derived outputs are
-        pushed back through the facade, landing on *their* home shards —
-        sources and outputs may therefore live on different shards.
-        Bind-time ``$name`` parameters substitute before compilation.
-        A mid-stream failure quarantines the query and is counted on the
-        first source's home shard (``query_quarantines``).
-        """
-        from repro.query import LiveQuery, bind_params, compile_query
-
-        plan = compile_query(bind_params(query, params))
-        live = LiveQuery(plan, self)
-        home = self.shard_of(sorted(plan.source_names)[0])
-
-        def count_quarantine(_live, _exc, shard_id=home) -> None:
-            stats = self._stats.get(shard_id)
-            if stats is not None:
-                stats.query_quarantines += 1
-
-        live.on_quarantine(count_quarantine)
-        return live
-
-    # ------------------------------------------------------------------
-    # Manager protocol (what ScopeServer consumes)
-    # ------------------------------------------------------------------
-    @property
-    def topology_version(self) -> int:
-        """Changes whenever any shard's scope set — or the ring — changes.
-
-        Membership changes remap names across shards, so every cached
-        name→carrier conclusion is stale even though no single manager's
-        scope set changed; folding the ring version in makes downstream
-        caches (the server's auto-create path, the routing cache) see
-        one monotonic invalidation signal.
-        """
-        return self._ring_version * 1_000_003 + sum(
-            manager.topology_version for manager in self._managers.values()
-        )
-
-    def carries(self, name: str) -> bool:
-        """True when the name's home shard carries the signal."""
-        return self.signal_home(name).carries(name)
-
-    def auto_create(self, name: str) -> bool:
-        """Auto-register ``name`` on its home shard's first scope."""
-        return self.signal_home(name).auto_create(name)
-
-    def push_sample(self, name: str, time_ms: float, value: float) -> int:
-        """Route one sample to its home shard; returns scopes accepting."""
-        shard_id = self.shard_of(name)
-        accepted = self._managers[shard_id].push_sample(name, time_ms, value)
-        stats = self._stats[shard_id]
-        stats.offered += 1
-        stats.accepted += 1 if accepted else 0
-        stats.dropped_late += 0 if accepted else 1
-        if self._tap_count:
-            stats.tap_bytes += 16 * self._tap_count
-        return accepted
-
-    def push_samples(self, name: str, times, values) -> int:
-        """Route one signal's columns to its home shard.
-
-        Returns how many samples a scope accepted; the shortfall is
-        counted as that shard's late drops — the slow-consumer signal
-        (a shard whose display loop lags sees samples arrive past their
-        slot and sheds them, per Section 4.4).
-
-        Reserved ``__obs.`` names are rejected by the home manager;
-        internal telemetry enters through :meth:`push_obs`.
-        """
-        if _trace is not None and _trace._tracer is not None:
-            with _trace.span("route", signal=name, n=len(times)):
-                return self._route(name, times, values, trusted=False)
-        return self._route(name, times, values, trusted=False)
-
-    def push_obs(self, name: str, times, values) -> int:
-        """Trusted reserved-namespace entry: identical routing/accounting.
-
-        This is what lets a :class:`~repro.obs.metrics.MetricsPublisher`
-        sink straight into the sharded facade — ``__obs.`` samples ride
-        the same ring, the same shard ledgers, the same taps.
-        """
-        return self._route(name, times, values, trusted=True)
-
-    def _route(self, name: str, times, values, trusted: bool) -> int:
-        shard_id = self.shard_of(name)
-        manager = self._managers[shard_id]
-        accepted = (manager.push_obs if trusted else manager.push_samples)(
-            name, times, values
-        )
-        stats = self._stats[shard_id]
-        offered = len(times)
-        stats.offered += offered
-        stats.accepted += accepted
-        stats.dropped_late += offered - accepted
-        if self._tap_count:
-            stats.tap_bytes += 16 * offered * self._tap_count
-        return accepted
-
-    # ------------------------------------------------------------------
-    # Coordinated control + accounting
-    # ------------------------------------------------------------------
-    def start_all(self) -> None:
-        for manager in self._managers.values():
-            manager.start_all()
-
-    def stop_all(self) -> None:
-        for manager in self._managers.values():
-            manager.stop_all()
-
-    def run_for(self, duration_ms: float) -> None:
-        """Drive every distinct shard loop for ``duration_ms``.
-
-        With a shared loop this is one run; with per-shard loops each
-        advances independently (virtual clocks stay deterministic, but
-        cross-shard event order is unspecified — shards are partitions,
-        not replicas).
-        """
-        for loop in self.loops:
-            loop.run_for(duration_ms)
-
-    def register_metrics(self, registry, prefix: str = "shard") -> None:
-        """Mount per-shard ledgers as ``<prefix><id>.<field>`` cells.
-
-        ``__obs.shard0.dropped_late`` — the issue's canonical derived-
-        query source — is exactly shard 0's live ``dropped_late`` cell
-        published by a :class:`~repro.obs.metrics.MetricsPublisher`
-        walking this registry.  Membership changes re-mount: the
-        retired ledger is mounted under ``<prefix>retired.`` so folded
-        history stays visible.
-        """
-        self._metrics_registry = registry
-        self._metrics_prefix = prefix
-        for shard_id in sorted(self._stats):
-            self._stats[shard_id].register_metrics(registry, f"{prefix}{shard_id}.")
-        # Underscore, not a dot or dash: the query lexer's NAME token
-        # accepts [A-Za-z0-9_.] so the retired ledger stays queryable.
-        self._retired.register_metrics(registry, f"{prefix}_retired.")
-
-    def _remount_metrics(self) -> None:
-        registry = getattr(self, "_metrics_registry", None)
-        if registry is None:
-            return
-        prefix = self._metrics_prefix
-        registry.unmount_prefix(prefix)
-        self.register_metrics(registry, prefix)
-
-    def shard_stats(self) -> List[ShardStats]:
-        """Per-shard ingest counters, in shard-id order (live references)."""
-        return [self._stats[i] for i in sorted(self._stats)]
-
-    def stats_of(self, shard_id: int) -> ShardStats:
-        """Ingest counters for an explicit shard id (live reference)."""
-        try:
-            return self._stats[shard_id]
-        except KeyError:
-            raise ValueError(f"unknown shard id: {shard_id}") from None
-
-    def totals(self) -> Dict[str, int]:
-        """Ingest counters summed across shards (including retired ones)."""
-        out = self._retired.as_dict()
-        for stats in self._stats.values():
-            for key, value in stats.as_dict().items():
-                out[key] = out.get(key, 0) + value
-        return out
-
-
-class ProcessShardedScopeManager:
-    """N shards, each a real worker **process** behind the same ring.
-
-    The multi-core counterpart of :class:`ShardedScopeManager`: routing
-    is identical (the same :class:`HashRing`, the same placement
-    contract), but each shard's scopes live in a child process running a
-    :class:`~repro.net.supervisor.ShardHost` on its own event loop, fed
-    over a socketpair with the version-2 binary protocol (DELIVER
-    frames; optionally a shared-memory ring for the column bytes — see
-    :mod:`repro.net.worker`).  Ingest therefore runs on as many cores as
-    there are workers, while the router pays only encode + send.
-
-    The push API is **asynchronous**: :meth:`push_samples` returns the
-    *offered* count once the batch is queued to the home worker, and the
-    accept/late-drop verdicts accumulate in the child.  :meth:`drain`
-    blocks (in real time) until every worker has ingested everything the
-    router sent, then :meth:`totals` is exact.  Per-shard backpressure
-    is the worker writer's bounded pending buffer: past its high
-    watermark the router push *blocks* on that worker's socket instead
-    of growing memory without bound.
-
-    Supervision (WAL-before-send, liveness, respawn) is deliberately not
-    here — that is :class:`~repro.net.supervisor.ProcessShardSupervisor`;
-    this class is the fast path the scaling benchmarks (X14a/b) measure.
-    """
-
-    def __init__(
-        self,
-        shards: int = 4,
-        scope_factory: Optional[Callable] = None,
-        loop: Optional[MainLoop] = None,
-        replicas: int = DEFAULT_REPLICAS,
-        heartbeat_s: float = 1.0,
-        use_shm: bool = False,
-        ring_bytes: int = 1 << 22,
-        max_pending_bytes: int = 4 << 20,
-    ) -> None:
-        if shards <= 0:
-            raise ValueError(f"shards must be positive: {shards}")
-        # Lazy import: worker imports supervisor (for ShardHost), which
-        # imports this module — importing at call time breaks the cycle.
-        from repro.net.worker import WorkerHandle
-
-        self.loop = loop if loop is not None else MainLoop()
-        self._ring = HashRing(range(shards), replicas=replicas)
-        self._route_cache: Dict[str, int] = {}
-        self._handles: Dict[int, WorkerHandle] = {}
-        self._stats: Dict[int, ShardStats] = {}
-        self._retired = ShardStats()
-        self._closed = False
-        # Continuous queries attached through this router: qid → home
-        # shard, so detach_query knows which worker to tell.
-        self._query_homes: Dict[str, int] = {}
-        self._next_qid = 0
-        try:
-            for shard_id in range(shards):
-                self._handles[shard_id] = WorkerHandle(
-                    shard_id,
-                    scope_factory,
-                    heartbeat_s=heartbeat_s,
-                    use_shm=use_shm,
-                    ring_bytes=ring_bytes,
-                    max_pending_bytes=max_pending_bytes,
-                )
-                self._stats[shard_id] = ShardStats()
-        except BaseException:
-            self.close()
-            raise
-
-    # -- routing --------------------------------------------------------
-    @property
-    def n_shards(self) -> int:
-        return len(self._handles)
-
-    @property
-    def shard_ids(self) -> List[int]:
-        return sorted(self._handles)
-
-    def shard_of(self, name: str) -> int:
-        """Home shard id for a signal name (same ring as in-process)."""
-        shard_id = self._route_cache.get(name)
-        if shard_id is None:
-            shard_id = self._ring.locate(name)
-            self._route_cache[name] = shard_id
-        return shard_id
-
-    def handle_of(self, shard_id: int):
-        try:
-            return self._handles[shard_id]
-        except KeyError:
-            raise ValueError(f"unknown shard id: {shard_id}") from None
-
-    # -- push (async) ---------------------------------------------------
-    def push_sample(self, name: str, time_ms: float, value: float) -> int:
-        return self.push_samples(name, (time_ms,), (value,))
-
-    def push_samples(self, name: str, times, values) -> int:
-        """Queue one signal's columns to its home worker; returns offered.
-
-        The late-drop verdict is made in the child at this router
-        instant (the DELIVER frame carries ``now``), so acceptance
-        accounting catches up asynchronously — read it after
-        :meth:`drain` / :meth:`refresh_stats`.
-
-        Reserved ``__obs.`` names are rejected *here*, on the router
-        side: the child's delivery edge is trusted (it accepts whatever
-        the router validated), so an unchecked reserved push would
-        poison a worker instead of erroring at the caller.
-        """
-        if name.startswith(RESERVED_PREFIX):
-            raise ScopeError(
-                f"signal name {name!r} is reserved: the {RESERVED_PREFIX!r} "
-                "namespace carries self-instrumentation samples "
-                "(published via MetricsPublisher, not user pushes)"
-            )
-        return self.push_obs(name, times, values)
-
-    def push_obs(self, name: str, times, values) -> int:
-        """Trusted reserved-namespace entry: same queueing/accounting."""
-        shard_id = self.shard_of(name)
-        now = self.loop.clock.now()
-        offered = self._handles[shard_id].deliver(now, name, times, values)
-        self._stats[shard_id].offered += offered
-        return offered
-
-    def advance_all(self, now: Optional[float] = None) -> None:
-        """Advance every worker's private clock to the router instant.
-
-        Without traffic a worker's loop only moves on messages; this is
-        the monitor-tick equivalent that keeps polls and heartbeats
-        going on idle shards.
-        """
-        if now is None:
-            now = self.loop.clock.now()
-        for handle in self._handles.values():
-            handle.advance(now)
-
-    # -- continuous queries ---------------------------------------------
-    def attach_query(
-        self,
-        query: str,
-        params: Optional[Dict[str, float]] = None,
-        timeout_s: float = 10.0,
-    ) -> str:
-        """Compile-and-attach a continuous query on its home worker.
-
-        The query text (with ``$name`` parameters bound router-side) is
-        validated here, then shipped over the control channel to the
-        single worker owning **all** of its source signals — a process
-        shard sees only its own pushes, so a query whose sources hash to
-        different workers would silently starve; that spelling is
-        rejected up front.  Derived outputs are pushed back into that
-        worker's manager and live there.  Returns the query id for
-        :meth:`detach_query`.
-        """
-        from repro.query import QueryCompileError, bind_params, compile_query
-
-        bound = bind_params(query, params)
-        plan = compile_query(bound)
-        homes = {self.shard_of(name) for name in plan.source_names}
-        if len(homes) > 1:
-            raise ValueError(
-                f"query sources {sorted(plan.source_names)} span shards "
-                f"{sorted(homes)}; process-plane queries need a single "
-                f"home worker"
-            )
-        shard_id = homes.pop()
-        qid = f"pq{self._next_qid}"
-        self._next_qid += 1
-        reply = self._handles[shard_id].attach_query(
-            qid, bound, timeout_s=timeout_s
-        )
-        if reply.get("error"):
-            raise QueryCompileError(str(reply["error"]))
-        self._query_homes[qid] = shard_id
-        return qid
-
-    def detach_query(self, qid: str, timeout_s: float = 10.0) -> None:
-        """Detach a continuous query from its home worker (idempotent)."""
-        shard_id = self._query_homes.pop(qid, None)
-        if shard_id is None:
-            return
-        self._handles[shard_id].detach_query(qid, timeout_s=timeout_s)
-
-    # -- accounting -----------------------------------------------------
-    def refresh_stats(self, timeout_s: float = 10.0) -> None:
-        """Pull each worker's ingest ledger into the router-side stats."""
-        for shard_id, handle in self._handles.items():
-            remote = handle.stats(timeout_s=timeout_s)
-            stats = self._stats[shard_id]
-            stats.accepted = int(remote["accepted"])
-            stats.dropped_late = int(remote["dropped_late"])
-            stats.query_quarantines = int(remote.get("query_quarantines", 0))
-
-    def drain(self, timeout_s: float = 30.0) -> None:
-        """Block until every worker has ingested all queued deliveries.
-
-        Real-time bound: raises :class:`TimeoutError` if a worker falls
-        permanently behind (or died) within ``timeout_s``.
-        """
-        for shard_id, handle in self._handles.items():
-            handle.drain(self._stats[shard_id].offered, timeout_s=timeout_s)
-        self.refresh_stats(timeout_s=timeout_s)
-
-    def register_metrics(self, registry, prefix: str = "shard") -> None:
-        """Mount router-side shard ledgers (see ShardedScopeManager)."""
-        for shard_id in sorted(self._stats):
-            self._stats[shard_id].register_metrics(registry, f"{prefix}{shard_id}.")
-        self._retired.register_metrics(registry, f"{prefix}_retired.")
-
-    def shard_stats(self) -> List[ShardStats]:
-        return [self._stats[i] for i in sorted(self._stats)]
-
-    def totals(self) -> Dict[str, int]:
-        """Counters summed across workers, as of the last refresh/drain."""
-        out = self._retired.as_dict()
-        for stats in self._stats.values():
-            for key, value in stats.as_dict().items():
-                out[key] = out.get(key, 0) + value
-        return out
-
-    def snapshot(self, shard_id: int, timeout_s: float = 30.0) -> dict:
-        """Fetch one worker's full data-plane state (see worker protocol)."""
-        return self.handle_of(shard_id).snapshot_state(timeout_s=timeout_s)
-
-    # -- lifecycle ------------------------------------------------------
-    def close(self, timeout_s: float = 10.0) -> None:
-        """Shut every worker down (graceful, then SIGKILL on timeout)."""
-        if self._closed:
-            return
-        self._closed = True
-        for handle in self._handles.values():
-            handle.close(timeout_s=timeout_s)
-
-    def __enter__(self) -> "ProcessShardedScopeManager":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()

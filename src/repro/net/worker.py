@@ -1,12 +1,11 @@
 """Process shard workers: one ShardHost per child process.
 
-PRs 1–7 made the single-core path as fast as numpy allows, but every
-shard of :class:`~repro.net.shard.ShardedScopeManager` still shares one
-interpreter, so aggregate ingest is capped by one core and the GIL.
-This module puts each shard on a real **process**:
+In-process shards share one interpreter, so aggregate ingest is capped
+by one core and the GIL.  A :class:`~repro.net.router.Router` built
+with ``backend="worker"`` puts each shard on a real **process**:
 
 * the child (:func:`worker_main`) runs a
-  :class:`~repro.net.supervisor.ShardHost` — the same supervision unit
+  :class:`~repro.net.host.ShardHost` — the same supervision unit
   the in-process plane uses, with its private event loop and virtual
   clock — and is driven *entirely* by messages from the router, so its
   timeline is deterministic and replayable;
@@ -28,15 +27,15 @@ runs ``loop.run_through(now)`` before ingesting — exactly what the
 in-process :meth:`ShardHost.deliver` does.  Idle shards advance via
 periodic ``advance`` controls.  Because the timeline is message-driven,
 a respawned worker that re-drives the same WAL reaches a byte-identical
-state (the PR 6 equivalence argument carries over unchanged).
+state (the argument in :mod:`repro.net.host` carries over unchanged).
 
 Restart protocol
 ----------------
 
 A worker spawned with ``wal_path``/``state_path`` restores itself before
-accepting traffic: load the snapshot (if any), dry-advance the fresh
-factory host to the snapshot instant, load the state over it, replay the
-WAL segments through ``start_now``, then send ``ready``.  The parent's
+accepting traffic with :meth:`~repro.net.host.ShardHost.restore` — the
+same snapshot load and WAL replay an in-process restart runs — and
+only then sends ``ready``.  The parent's
 :class:`WorkerHandle` blocks on ``ready``, so no live delivery can race
 the replay — everything the router pushes after the handle exists is
 new traffic.
@@ -57,11 +56,11 @@ import struct
 import time
 from multiprocessing import get_context
 from multiprocessing import shared_memory
-from pathlib import Path
 from typing import Any, Dict, List, Optional
 
 import numpy as np
 
+from repro.net.host import ShardDown, ShardHost
 from repro.net.protocol import (
     FrameDecoder,
     FrameKind,
@@ -83,6 +82,12 @@ _REC_HEADER = struct.Struct("<IId")
 _RING_MARK = 0xFFFFFFFF  # name_id sentinel: jump back to offset 0
 _CURSORS = struct.Struct("<QQ")  # tail (producer), head (consumer)
 _DATA_OFF = 16
+
+#: Real seconds of control-channel silence after which a monitor probe
+#: reports a worker as not beating.  Generous on purpose: monitor ticks
+#: on a virtual loop burn almost no wall clock, so only a genuinely
+#: wedged child stays silent this long.
+BEAT_GRACE_S = 60.0
 
 
 class WorkerDied(RuntimeError):
@@ -207,41 +212,6 @@ class ShmRing:
 # ----------------------------------------------------------------------
 # Child side
 # ----------------------------------------------------------------------
-def _restore_and_replay(host, state_path, wal_path, start_now) -> Dict[str, Any]:
-    """Restore snapshot state (if any) and replay the WAL into ``host``.
-
-    Mirrors the in-process :meth:`ShardSupervisor.restart_shard` exactly:
-    dry-advance the fresh factory host to the snapshot instant (its
-    timers deterministically reproduce polls and beats), load the state
-    over it, then re-drive the WAL segments at their recorded instants
-    and advance through ``start_now``.
-    """
-    from repro.capture.reader import CaptureReader
-    from repro.capture.replay import ReplaySource
-    from repro.net.supervisor import _HostTarget
-
-    restored = False
-    if state_path and Path(state_path).exists():
-        with open(state_path, "rb") as fh:
-            snap = pickle.load(fh)
-        host.loop.run_through(float(snap["now"]))
-        host.manager.load_state(snap["manager"])
-        host.stats.offered = int(snap["stats"]["offered"])
-        host.stats.accepted = int(snap["stats"]["accepted"])
-        host.stats.dropped_late = int(snap["stats"]["dropped_late"])
-        restored = True
-    replayed = 0
-    if wal_path and sorted(Path(wal_path).glob("*.gseg")):
-        reader = CaptureReader(wal_path, recover_tail=True)
-        source = ReplaySource(reader, _HostTarget(host))
-        host.loop.attach(source)
-        host.loop.run_through(float(start_now))
-        replayed = source.delivered_samples
-    else:
-        host.loop.run_through(float(start_now))
-    return {"restored": restored, "replayed": replayed}
-
-
 def worker_main(
     sock: socket.socket,
     parent_fd: int,
@@ -254,8 +224,6 @@ def worker_main(
     ring_name: Optional[str],
 ) -> None:
     """Child entrypoint: host one shard, driven by the router socket."""
-    from repro.net.supervisor import ShardDown, ShardHost
-
     try:
         os.close(parent_fd)  # drop the inherited copy of the parent's end
     except OSError:
@@ -264,7 +232,7 @@ def worker_main(
     exit_code = 0
     try:
         host = ShardHost(shard_id, scope_factory)
-        boot = _restore_and_replay(host, state_path, wal_path, start_now)
+        host.restore(state_path, wal_path, start_now)
         sock.setblocking(True)
         sock.settimeout(heartbeat_s)
         sock.sendall(
@@ -272,8 +240,8 @@ def worker_main(
                 {
                     "op": "ready",
                     "shard": shard_id,
-                    "restored": boot["restored"],
-                    "replayed": boot["replayed"],
+                    "restored": host.restored,
+                    "replayed": host.replayed_samples,
                 }
             )
         )
@@ -299,7 +267,7 @@ def worker_main(
                 "queries": sorted(queries),
                 "beats": host.beats,
                 "now": host.loop.clock.now(),
-                "replayed": boot["replayed"],
+                "replayed": host.replayed_samples,
             }
 
         running = True
@@ -339,17 +307,7 @@ def worker_main(
                         sock.sendall(encode_control(stats_payload()))
                     elif op == "snapshot":
                         host.advance(float(frame.control["now"]))
-                        blob = pickle.dumps(
-                            {
-                                "now": host.loop.clock.now(),
-                                "manager": host.manager.state_dict(),
-                                "stats": {
-                                    "offered": host.stats.offered,
-                                    "accepted": host.stats.accepted,
-                                    "dropped_late": host.stats.dropped_late,
-                                },
-                            }
-                        )
+                        blob = pickle.dumps(host.snapshot_state())
                         sock.sendall(
                             encode_control(
                                 {
@@ -524,6 +482,21 @@ class WorkerHandle:
         """Real seconds since the last sign of life on the control channel."""
         return time.monotonic() - self.last_beat_monotonic
 
+    def failed(self) -> bool:
+        """True when the child is gone: exited, link broken, or crashed.
+
+        Drains pending control traffic first, so beats are counted and a
+        crash report the child sent is seen.
+        """
+        self.poll()
+        return (
+            not self.is_alive() or self.link_down or self.take_crash() is not None
+        )
+
+    def beating(self) -> bool:
+        """True unless the control channel has been silent too long."""
+        return self.beat_age_s() <= BEAT_GRACE_S
+
     @property
     def pending_bytes(self) -> int:
         """Bytes queued router-side, waiting for the worker socket."""
@@ -596,7 +569,13 @@ class WorkerHandle:
         return name_id
 
     def deliver(self, now: float, name: str, times, values) -> int:
-        """Queue one batch for the worker; returns the offered count."""
+        """Queue one batch for the worker; returns the offered count.
+
+        Raises :class:`~repro.net.host.ShardDown` when the worker is
+        gone, so the caller decides whether the batch is lost.
+        """
+        if self.link_down or not self.process.is_alive():
+            raise ShardDown(f"worker {self.shard_id} is down")
         t = np.ascontiguousarray(times, dtype="<f8")
         v = np.ascontiguousarray(values, dtype="<f8")
         n = t.shape[0]
@@ -671,9 +650,14 @@ class WorkerHandle:
                     raise WorkerDied(
                         f"worker {self.shard_id} crashed: {msg.get('error')}"
                     )
-            if self.link_down or (
-                not self.is_alive() and not self.sock_readable()
-            ):
+            if self.link_down or not self.is_alive():
+                # A child that died may have reported why just before it
+                # exited: read what is left in the socket before calling
+                # the link dead, so the crash report is not lost.
+                unread = len(self._inbox)
+                self.poll()
+                if len(self._inbox) > unread:
+                    continue
                 raise WorkerDied(
                     f"worker {self.shard_id} died awaiting {op!r} "
                     f"(exitcode {self.exitcode})"
@@ -693,12 +677,6 @@ class WorkerHandle:
                 self._inbox.pop(i)
                 return str(msg.get("error"))
         return None
-
-    def sock_readable(self) -> bool:
-        if self.link_down:
-            return False
-        readable, _, _ = select.select([self.sock], [], [], 0)
-        return bool(readable)
 
     def request(self, payload: Dict[str, Any], reply_op: str, timeout_s: float) -> Dict[str, Any]:
         self._queue(encode_control(payload))

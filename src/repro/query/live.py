@@ -49,7 +49,7 @@ class LiveQuery:
     manager:
         Anything with ``add_tap``/``remove_tap``/``push_samples`` — a
         :class:`~repro.core.manager.ScopeManager`, a
-        :class:`~repro.net.shard.ShardedScopeManager` (shared-loop
+        :class:`~repro.net.router.Router` (in-loop, shared-loop
         layout) or a single :class:`~repro.core.scope.Scope`.  When
         given, the query attaches immediately and every derived batch is
         pushed back under its output name.  Omit it to consume outputs

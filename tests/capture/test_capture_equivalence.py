@@ -185,7 +185,7 @@ def test_sharded_capture_replays_identically(tmp_path):
     """Sharded fan-in: per-shard streams replayed into a fresh sharded
     manager reproduce every shard's traces and drop decisions."""
     from repro.capture import capture_sharded
-    from repro.net.shard import ShardedScopeManager
+    from repro.net import ShardedScopeManager
 
     def build(capture_root=None):
         loop = MainLoop()

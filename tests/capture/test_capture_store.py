@@ -19,7 +19,7 @@ from repro.core.manager import ScopeManager
 from repro.core.signal import buffer_signal
 from repro.core.tuples import Player
 from repro.eventloop.loop import MainLoop
-from repro.net.shard import ShardedScopeManager
+from repro.net import ShardedScopeManager
 
 pytestmark = pytest.mark.capture
 

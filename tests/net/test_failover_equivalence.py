@@ -33,10 +33,9 @@ from repro.core.signal import buffer_signal
 from repro.eventloop.loop import MainLoop
 from repro.net import (
     FaultPlan,
-    ProcessShardSupervisor,
+    Router,
     ScopeClient,
     ScopeServer,
-    ShardSupervisor,
     faulty_pair,
     memory_pair,
     shard_of,
@@ -117,9 +116,9 @@ def shard_fault_run(tmp_path, seed, fault_script):
     """
     rng = random.Random(seed)
     loop = MainLoop()
-    sup = ShardSupervisor(
-        loop,
-        tmp_path,
+    sup = Router(
+        loop=loop,
+        wal_root=tmp_path,
         shards=N_SHARDS,
         scope_factory=factory,
         heartbeat_ms=HEARTBEAT_MS,
@@ -192,9 +191,9 @@ def test_restart_latency_bound(seed, tmp_path):
     kill_at = 1000.0
     rng = random.Random(seed)
     loop = MainLoop()
-    sup = ShardSupervisor(
-        loop,
-        tmp_path,
+    sup = Router(
+        loop=loop,
+        wal_root=tmp_path,
         shards=N_SHARDS,
         scope_factory=factory,
         heartbeat_ms=HEARTBEAT_MS,
@@ -426,9 +425,10 @@ def process_run(tmp_path, seed, kill_at, victim=0, rotate_before_kill=False):
     """
     rng = random.Random(seed)
     loop = MainLoop()
-    sup = ProcessShardSupervisor(
-        loop,
-        tmp_path,
+    sup = Router(
+        backend="worker",
+        loop=loop,
+        wal_root=tmp_path,
         shards=N_SHARDS,
         scope_factory=factory,
         monitor_interval_ms=HEARTBEAT_MS,

@@ -161,16 +161,6 @@ class TestBinaryEncode:
         # v2 payload: the two columns followed by their crc32 trailer.
         assert payload == columns + struct.pack("<I", zlib.crc32(columns))
 
-    def test_v1_samples_payload_is_bare_columns(self):
-        times = np.array([1.0, 2.0])
-        values = np.array([10.0, 20.0])
-        frame = encode_binary_samples(7, times, values, version=1)
-        _, version, kind, _, count = FRAME_HEADER.unpack_from(frame)
-        assert (version, kind, count) == (1, FrameKind.SAMPLES, 2)
-        assert frame[FRAME_HEADER.size :] == (
-            times.astype("<f8").tobytes() + values.astype("<f8").tobytes()
-        )
-
     def test_empty_batch_encodes_to_nothing(self):
         assert encode_binary_samples(0, [], []) == b""
 

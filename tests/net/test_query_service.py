@@ -303,7 +303,7 @@ def test_subscription_survives_session_kill(seed):
 # ----------------------------------------------------------------------
 class TestProcessPlane:
     def test_worker_query_attach_detach_and_quarantine(self):
-        from repro.net.shard import ProcessShardedScopeManager
+        from repro.net import ProcessShardedScopeManager
 
         with ProcessShardedScopeManager(shards=1, scope_factory=None) as pm:
             qid = pm.attach_query("out = ewma(sig, $al)", params={"al": 0.5})
@@ -324,7 +324,7 @@ class TestProcessPlane:
             assert qid not in remote["queries"]
 
     def test_cross_shard_sources_rejected(self):
-        from repro.net.shard import ProcessShardedScopeManager
+        from repro.net import ProcessShardedScopeManager
 
         with ProcessShardedScopeManager(shards=2, scope_factory=None) as pm:
             names = [f"sig{i}" for i in range(32)]
@@ -337,7 +337,7 @@ class TestProcessPlane:
                 pm.attach_query(f"x = {left} + {right}")
 
     def test_compile_error_raises_router_side(self):
-        from repro.net.shard import ProcessShardedScopeManager
+        from repro.net import ProcessShardedScopeManager
         from repro.query import QueryCompileError
 
         with ProcessShardedScopeManager(shards=1, scope_factory=None) as pm:

@@ -17,7 +17,7 @@ import sys
 
 import pytest
 
-from repro.net.shard import HashRing, ShardedScopeManager, shard_of
+from repro.net import HashRing, ShardedScopeManager, shard_of
 
 pytestmark = pytest.mark.faults
 

@@ -4,8 +4,8 @@ import pytest
 
 from repro.core.signal import buffer_signal
 from repro.eventloop.loop import MainLoop
-from repro.net import ShardDown, ShardState, ShardSupervisor, shard_of
-from repro.net.supervisor import ShardHost
+from repro.net import Router, ShardDown, ShardState, shard_of
+from repro.net.host import ShardHost
 
 pytestmark = pytest.mark.faults
 
@@ -32,7 +32,7 @@ def make_supervisor(tmp_path, **kwargs):
         segment_samples=128,
     )
     defaults.update(kwargs)
-    return loop, ShardSupervisor(loop, tmp_path / "wal", **defaults)
+    return loop, Router(loop=loop, wal_root=tmp_path / "wal", **defaults)
 
 
 class TestHeartbeat:
@@ -72,8 +72,8 @@ class TestHeartbeat:
     def test_monitor_shorter_than_heartbeat_rejected(self, tmp_path):
         loop = MainLoop()
         with pytest.raises(ValueError):
-            ShardSupervisor(
-                loop, tmp_path / "wal", heartbeat_ms=50.0, monitor_interval_ms=20.0
+            Router(
+                loop=loop, wal_root=tmp_path / "wal", heartbeat_ms=50.0, monitor_interval_ms=20.0
             )
 
 

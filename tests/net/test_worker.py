@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from repro.core.signal import SignalSpec, SignalType, buffer_signal
-from repro.net import ProcessShardedScopeManager, ShmRing, WorkerDied, shard_of
+from repro.eventloop.loop import MainLoop
+from repro.net import (
+    ProcessShardedScopeManager,
+    ScopeServer,
+    ShmRing,
+    WorkerDied,
+    shard_of,
+)
 from repro.net.worker import WorkerHandle
 
 SIGNALS = ["alpha", "beta", "gamma", "delta"]
@@ -125,6 +132,21 @@ class TestWorkerHandle:
         finally:
             handle.close()
 
+    def test_crash_report_read_after_child_exit(self):
+        """The child exits before the router asks anything: the send
+        then fails with EPIPE, yet the crash report still unread in the
+        socket must surface as the reason, not as a dead link."""
+        handle = WorkerHandle(0, poisoned_factory, heartbeat_s=5.0)
+        try:
+            handle.deliver(100.0, "poison", [90.0], [1.0])
+            handle.flush()
+            handle.process.join(timeout=10.0)
+            assert not handle.is_alive()
+            with pytest.raises(WorkerDied, match="crash"):
+                handle.drain(1, timeout_s=30.0)
+        finally:
+            handle.close()
+
 
 @pytest.mark.distributed
 class TestProcessShardedScopeManager:
@@ -149,3 +171,15 @@ class TestProcessShardedScopeManager:
             assert totals["offered"] == offered
             assert totals["accepted"] + totals["dropped_late"] == offered
             assert totals["dropped_late"] > 0
+
+    def test_server_auto_create_refused_over_workers(self):
+        """Worker shards create their signals in the child's factory; a
+        server asked to auto-create them is refused up front instead of
+        failing on the first SAMPLES frame."""
+        loop = MainLoop()
+        with ProcessShardedScopeManager(
+            shards=1, scope_factory=factory, loop=loop
+        ) as mgr:
+            with pytest.raises(ValueError, match="auto_create"):
+                ScopeServer(loop, mgr, auto_create=True)
+            ScopeServer(loop, mgr)  # the default stays available

@@ -8,7 +8,7 @@ from repro.core.manager import ScopeManager
 from repro.core.signal import buffer_signal
 from repro.eventloop.loop import MainLoop
 from repro.net import ScopeClient, ScopeServer, memory_pair
-from repro.net.shard import ShardStats, ShardedScopeManager
+from repro.net import ShardStats, ShardedScopeManager
 from repro.obs.metrics import MetricsRegistry
 
 pytestmark = pytest.mark.obs
@@ -157,7 +157,7 @@ class TestShardBridge:
 
 class TestSupervisorBridge:
     def test_restart_remounts_fresh_cells(self, tmp_path):
-        from repro.net.supervisor import ShardSupervisor
+        from repro.net import Router
 
         loop = MainLoop()
 
@@ -165,7 +165,7 @@ class TestSupervisorBridge:
             scope = manager.scope_new(f"s{shard_id}", delay_ms=1e12)
             scope.signal_new(buffer_signal("pkts"))
 
-        sup = ShardSupervisor(loop, tmp_path, shards=2, scope_factory=factory)
+        sup = Router(2, loop, wal_root=tmp_path, scope_factory=factory)
         reg = MetricsRegistry()
         sup.register_metrics(reg)
         home = sup.shard_of("pkts")

@@ -7,7 +7,7 @@ from repro.core.manager import RESERVED_PREFIX, ScopeManager
 from repro.core.scope import ScopeError
 from repro.core.signal import buffer_signal
 from repro.eventloop.loop import MainLoop
-from repro.net.shard import ShardedScopeManager
+from repro.net import ShardedScopeManager
 from repro.query import QueryError, compile_query
 from repro.query.errors import QueryCompileError
 
@@ -71,7 +71,7 @@ class TestShardedBoundary:
 
 class TestSupervisorBoundary:
     def test_supervisor_rejects_before_wal(self, tmp_path):
-        from repro.net.supervisor import ShardSupervisor
+        from repro.net import Router
 
         loop = MainLoop()
 
@@ -79,8 +79,8 @@ class TestSupervisorBoundary:
             scope = manager.scope_new(f"s{shard_id}", delay_ms=1e12)
             scope.signal_new(buffer_signal("pkts"))
 
-        sup = ShardSupervisor(
-            loop, tmp_path, shards=1, scope_factory=factory
+        sup = Router(
+            1, loop, wal_root=tmp_path, scope_factory=factory
         )
         with pytest.raises(ScopeError, match="reserved"):
             sup.push_samples(RESERVED_PREFIX + "x", [1.0], [2.0])
@@ -96,7 +96,7 @@ class TestSupervisorBoundary:
         sup.close()
 
     def test_supervisor_push_obs_skips_wal(self, tmp_path):
-        from repro.net.supervisor import ShardSupervisor
+        from repro.net import Router
 
         loop = MainLoop()
 
@@ -104,7 +104,7 @@ class TestSupervisorBoundary:
             scope = manager.scope_new(f"s{shard_id}", delay_ms=1e12)
             scope.signal_new(buffer_signal(RESERVED_PREFIX + "hits"))
 
-        sup = ShardSupervisor(loop, tmp_path, shards=1, scope_factory=factory)
+        sup = Router(1, loop, wal_root=tmp_path, scope_factory=factory)
         assert sup.push_obs(RESERVED_PREFIX + "hits", [1.0], [2.0]) == 1
         sup.close()
 

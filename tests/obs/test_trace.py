@@ -169,7 +169,7 @@ class TestPipelineSpans:
 
     def test_route_span_in_sharded_path(self):
         from repro.eventloop.loop import MainLoop
-        from repro.net.shard import ShardedScopeManager
+        from repro.net import ShardedScopeManager
 
         loop = MainLoop()
         col = TraceCollector(loop.clock)

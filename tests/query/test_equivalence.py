@@ -21,7 +21,7 @@ import pytest
 from repro.capture import CaptureReader, CaptureWriter
 from repro.core.manager import ScopeManager
 from repro.core.signal import buffer_signal
-from repro.net.shard import ShardedScopeManager
+from repro.net import ShardedScopeManager
 from repro.query import LiveQuery, Runtime, compile_query, execute
 
 pytestmark = pytest.mark.query
