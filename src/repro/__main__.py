@@ -25,7 +25,7 @@ import sys
 from typing import List, Optional
 
 from repro.core.frequency import spectrum as compute_spectrum
-from repro.core.printing import format_summary, print_recording, print_summary
+from repro.gui.printing import format_summary, print_recording, print_summary
 from repro.core.scope import Scope
 from repro.core.tuples import Player, format_tuple
 from repro.eventloop.loop import MainLoop
@@ -300,10 +300,10 @@ def _cmd_faults(args: argparse.Namespace) -> int:
             loop.timeout_add(args.at, lambda lost: (act(args.victim), False)[1])
         loop.run_until(args.duration)
         end = loop.clock.now()
-        for host in sup.hosts:
+        for host in sup.targets:
             host.advance(end)
         traces = {}
-        for shard_id, host in enumerate(sup.hosts):
+        for shard_id, host in enumerate(sup.targets):
             scope = host.manager.scope(f"scope-{shard_id}")
             for name in signals:
                 if shard_of(name, args.shards) == shard_id:

@@ -11,12 +11,13 @@ binary-wire speed):
   sharded manager or scope from a store: play / pause / seek / rewind /
   rate, bit-exact at rate 1.
 * :func:`export_text` / :func:`import_text` — the Section 3.3 tuple text
-  format as a lossless interchange codec for the same data.
+  format as a lossless interchange codec for the same data;
+  :func:`player_from_capture` — playback straight from a store.
 * :func:`capture_sharded` — one segment stream per shard of a
   :class:`~repro.net.router.Router`.
 """
 
-from repro.capture.convert import export_text, import_text
+from repro.capture.convert import export_text, import_text, player_from_capture
 from repro.capture.format import CaptureFormatError
 from repro.capture.reader import Block, CaptureReader, Position
 from repro.capture.replay import ReplaySource, catch_up
@@ -33,4 +34,5 @@ __all__ = [
     "catch_up",
     "export_text",
     "import_text",
+    "player_from_capture",
 ]

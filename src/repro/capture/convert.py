@@ -18,7 +18,7 @@ from typing import IO, Iterable, Union
 
 from repro.capture.reader import CaptureReader
 from repro.capture.writer import CaptureWriter
-from repro.core.tuples import Recorder, parse_stream
+from repro.core.tuples import Player, Recorder, Tuple3, parse_stream
 
 
 def export_text(
@@ -53,6 +53,27 @@ def export_text(
     finally:
         recorder.close()
     return int(times.shape[0])
+
+
+def player_from_capture(
+    source: Union[CaptureReader, str, Path], default_name: str = "signal"
+) -> Player:
+    """A playback :class:`~repro.core.tuples.Player` over a capture store.
+
+    ``source`` is a :class:`CaptureReader` or a capture directory path.
+    Tuples come in :meth:`CaptureReader.sorted_columns` order — the
+    order :func:`export_text` writes — so playback works on either
+    representation of the same recording, without the text detour.
+    """
+    reader = source if isinstance(source, CaptureReader) else CaptureReader(source)
+    times, values, ids = reader.sorted_columns()
+    names = reader.names
+    player = Player([], default_name=default_name)
+    player._tuples = [
+        Tuple3(time_ms=t, value=v, name=names[i])
+        for t, v, i in zip(times.tolist(), values.tolist(), ids.tolist())
+    ]
+    return player
 
 
 def import_text(

@@ -23,6 +23,7 @@ writer died mid-flush.
 
 from __future__ import annotations
 
+import ctypes
 import mmap
 import zlib
 from dataclasses import dataclass
@@ -45,6 +46,62 @@ from repro.capture.format import (
     unpack_name_table,
     unpack_trailer,
 )
+from repro.core import native
+
+
+#: Verified gather: per-block CRC check *and* payload copy in one C pass
+#: over a segment, calling zlib's ``crc32_z`` directly (linked ``-lz``).
+#: ``crcs[b]`` is block ``b``'s stored payload CRC, or negative for a
+#: block already verified.  Returns the sample count copied, or
+#: ``-(b + 1)`` naming the first bad block.
+_GATHER_SOURCE = """\
+#include <stddef.h>
+#include <string.h>
+
+extern unsigned long crc32_z(unsigned long crc, const unsigned char* buf,
+                             size_t len);
+
+long long gather_verify(const char* base, const long long* offsets,
+                        const long long* counts, const long long* crcs,
+                        long long nblocks, double* out_t, double* out_v)
+{
+    long long cur = 0;
+    for (long long b = 0; b < nblocks; b++) {
+        long long c = counts[b];
+        if (crcs[b] >= 0) {
+            unsigned long got = crc32_z(
+                0UL, (const unsigned char*)(base + offsets[b]),
+                (size_t)(16 * c));
+            if ((long long)(got & 0xffffffffUL) != crcs[b])
+                return -(b + 1);
+        }
+        memcpy((char*)(out_t + cur), base + offsets[b], (size_t)(8 * c));
+        memcpy((char*)(out_v + cur), base + offsets[b] + 8 * c,
+               (size_t)(8 * c));
+        cur += c;
+    }
+    return cur;
+}
+"""
+
+_GATHER_ARGTYPES = (
+    [ctypes.c_void_p] * 4 + [ctypes.c_longlong] + [ctypes.c_void_p] * 2
+)
+
+
+def _native_gather():
+    """The compiled verified gather, or None for the numpy path.
+
+    :func:`repro.core.native.build` caches the library per source, and
+    returns None under ``REPRO_NATIVE=0`` or when the build fails.
+    """
+    lib = native.build(_GATHER_SOURCE, "crcgather", ldflags=("-lz",))
+    if lib is None:
+        return None
+    fn = lib.gather_verify
+    fn.restype = ctypes.c_longlong
+    fn.argtypes = _GATHER_ARGTYPES
+    return fn
 
 
 @dataclass(frozen=True, order=True)
@@ -230,32 +287,35 @@ class Segment:
     ) -> int:
         """Copy blocks ``indices`` (stream order) into the output columns.
 
-        CRC verification and the payload copy run as **one native pass**
-        over the segment (:func:`repro.query.kernels.gather_verify`,
-        which calls zlib's ``crc32`` from C) when a compiled backend
-        exists — no per-block Python loop on the hot read path.
-        Already-verified blocks skip their check either way.  Without a
-        native backend: per-block ``zlib.crc32`` plus numpy assignments.
-        Returns the cursor after the copied samples.
+        With a compiled backend, CRC verification and the payload copy
+        run as **one native pass** over the segment (see
+        :data:`_GATHER_SOURCE`) — no per-block Python loop on the hot
+        read path.  Without one (``REPRO_NATIVE=0``, no toolchain, no
+        zlib): per-block ``zlib.crc32`` plus numpy slices of the
+        mapping, the oracle the native pass must match.  Already-verified
+        blocks skip their check either way.  Returns the cursor after
+        the copied samples.
         """
-        from repro.query import kernels
-
         entries = self.directory[indices]
+        offsets = entries["offset"].astype(np.int64)
         counts = entries["count"].astype(np.int64)
         if self._base is None:
             self._base = np.frombuffer(self._mm, dtype=np.uint8)
-        verified = self._verified[indices]
-        crcs = np.where(verified, -1, entries["crc"].astype(np.int64))
-        rc = kernels.gather_verify(
-            self._base,
-            entries["offset"].astype(np.int64),
-            counts,
-            crcs,
-            out_t,
-            out_v,
-            start,
-        )
-        if rc is not None:
+        base = self._base
+        gather = _native_gather()
+        if gather is not None:
+            crcs = np.where(
+                self._verified[indices], -1, entries["crc"].astype(np.int64)
+            )
+            rc = gather(
+                base.ctypes.data,
+                offsets.ctypes.data,
+                counts.ctypes.data,
+                crcs.ctypes.data,
+                offsets.shape[0],
+                out_t.ctypes.data + 8 * start,
+                out_v.ctypes.data + 8 * start,
+            )
             if rc < 0:
                 bad = int(indices[-rc - 1])
                 raise CaptureFormatError(
@@ -263,36 +323,17 @@ class Segment:
                 )
             self._verified[indices] = True
             return start + rc
-        # No -lz-linked kernel: verify per block, then copy (natively
-        # when at least the base support library built, else numpy).
-        for index in indices:
-            self.verify_block(int(index))
-        copied = kernels.gather_blocks(
-            self._base,
-            entries["offset"].astype(np.int64),
-            counts,
-            out_t,
-            out_v,
-            start,
-        )
-        if copied is None:
-            # Pure-numpy copy: slice the mapping directly per block
-            # (CRCs were verified above; no Block objects, no
-            # re-verification on this path).
-            base = self._base
-            cursor = start
-            for offset, count in zip(
-                entries["offset"].tolist(), entries["count"].tolist()
-            ):
-                stop = cursor + count
-                mid = offset + 8 * count
-                out_t[cursor:stop] = base[offset:mid].view(np.float64)
-                out_v[cursor:stop] = base[mid : mid + 8 * count].view(
-                    np.float64
-                )
-                cursor = stop
-            return cursor
-        return start + copied
+        cursor = start
+        for index, offset, count in zip(
+            indices.tolist(), offsets.tolist(), counts.tolist()
+        ):
+            self.verify_block(index)
+            stop = cursor + count
+            mid = offset + 8 * count
+            out_t[cursor:stop] = base[offset:mid].view(np.float64)
+            out_v[cursor:stop] = base[mid : mid + 8 * count].view(np.float64)
+            cursor = stop
+        return cursor
 
     def seek_block(self, t: float) -> Optional[Tuple[int, int]]:
         """First (block, offset) whose sample time is >= ``t``, else None."""
@@ -531,11 +572,10 @@ class CaptureReader:
         views stay valid even after :meth:`close` (the mapping is
         unmapped when the last view is garbage-collected).  A signal
         spanning several blocks is copied once into preallocated
-        columns — natively in one pass per segment
-        (:func:`repro.query.kernels.gather_blocks`) when a compiled
-        backend exists.  Signals absent from the capture come back as
-        empty columns (matching :meth:`read_signal`).  This is the
-        batch query executor's read path.
+        columns, CRC-checked and copied in one pass per segment
+        (:meth:`Segment.gather`).  Signals absent from the capture come
+        back as empty columns (matching :meth:`read_signal`).  This is
+        the batch query executor's read path.
         """
         want = list(dict.fromkeys(names))  # de-dup, preserve order
         # Directory-only pass: each signal's blocks, in stream order.
@@ -603,7 +643,7 @@ class CaptureReader:
 
         The one canonical tuple ordering of a capture — what
         :func:`repro.capture.export_text` writes and what
-        :meth:`repro.core.tuples.Player.from_capture` loads, so the two
+        :func:`repro.capture.player_from_capture` loads, so the two
         adapters can never drift apart.
         """
         times, values, ids = self.columns()

@@ -40,6 +40,7 @@ from typing import Optional, Union
 import numpy as np
 
 from repro.capture.reader import CaptureReader, Position
+from repro.core.cells import is_reserved
 from repro.eventloop.sources import Priority, Source
 
 #: Same readiness epsilon as TimeoutSource, so replay deadlines and
@@ -181,7 +182,7 @@ class ReplaySource(Source):
             if not self._exact:
                 times = self._anchor_wall + (times - self._anchor_capture) / self._rate
             name = block.name
-            if name.startswith("__obs.") and self._push_obs is not None:
+            if is_reserved(name) and self._push_obs is not None:
                 # Recorded self-instrumentation replays through the
                 # trusted entry — the manager boundary rejects reserved
                 # names on the ordinary push path.

@@ -26,6 +26,13 @@ Sections 2-4 of the paper:
 * :mod:`repro.core.trigger` — triggers and waveform envelopes (built from
   the paper's Future Work list, Section 6).
 * :mod:`repro.core.manager` — multiple scopes on a single main loop.
+
+Core imports only :mod:`repro.eventloop` from the rest of ``repro``.
+Display, printing, capture, the obs plane and everything above build
+on it; the hooks they plug into (metric cells, the reserved ``__obs.``
+prefix, the span slot, the native build seam) live here, dependency
+free: :mod:`repro.core.cells`, :mod:`repro.core.spans`,
+:mod:`repro.core.native`.
 """
 
 from repro.core.aggregate import AggregateKind, make_aggregator

@@ -1,4 +1,4 @@
-"""Metric cells: the primitive counters/gauges/histograms.
+"""Metric cells and the obs plane's reserved namespace.
 
 These are plain data holders with no policy attached — the
 self-instrumentation plane (:mod:`repro.obs`) mounts them into a
@@ -6,7 +6,10 @@ registry and publishes them, but the cells themselves live here, in
 the dependency-free core, because bridged subsystem statistics
 (:class:`~repro.net.shard.ShardStats` and friends) are **load-bearing
 public API**: they must keep counting even in a build where
-``repro.obs`` is never imported.
+``repro.obs`` is never imported.  For the same reason the reserved
+``__obs.`` prefix is defined here, once: every layer that checks a
+name against it imports it from core, and :mod:`repro.obs` sits above
+core, never below it.
 
 Hot-path contract: ``Counter.inc`` is one Python integer add on a
 ``__slots__`` cell; ``Gauge.set`` one float store.  ``Histogram.observe``
@@ -21,6 +24,15 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 DEFAULT_BOUNDS = (0.1, 0.5, 1.0, 5.0, 10.0, 50.0, 100.0, 500.0, 1000.0)
+
+#: Reserved signal-name prefix for self-instrumentation samples.  User
+#: pushes into this namespace are rejected at every ingest boundary.
+OBS_PREFIX = "__obs."
+
+
+def is_reserved(name: str) -> bool:
+    """True when ``name`` lives in the reserved ``__obs.`` namespace."""
+    return name.startswith(OBS_PREFIX)
 
 
 class Counter:
@@ -153,3 +165,20 @@ class _NullInstrument:
 
 
 NULL = _NullInstrument()
+
+
+def cell_property(field: str) -> property:
+    """Plain-attribute façade over ``self._cells[field]``, a counter cell.
+
+    Classes keeping their counters in a ``_cells`` dict expose each one
+    as an ordinary int attribute (read, assign, ``+=``), so the public
+    accessors and a registry mount share one source of truth.
+    """
+
+    def fget(self) -> int:
+        return self._cells[field].value
+
+    def fset(self, value: int) -> None:
+        self._cells[field].value = value
+
+    return property(fget, fset, doc=f"counter cell {field!r}")

@@ -11,34 +11,27 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+import repro.core.spans as spans
+from repro.core.cells import OBS_PREFIX
 from repro.core.pollhub import PollHub
 from repro.core.scope import Scope, ScopeError
 from repro.core.signal import SignalSpec, SignalType
 from repro.eventloop.loop import MainLoop
 
-try:  # optional self-instrumentation plane (absence changes no bytes)
-    from repro.obs import trace as _trace
-except ImportError:  # pragma: no cover - obs package absent
-    _trace = None
-
-#: Signal names under this prefix belong to the self-instrumentation
-#: plane.  Kept as a local literal (not imported from ``repro.obs``) so
-#: the reservation holds even when the obs package is never imported.
-RESERVED_PREFIX = "__obs."
-
 
 def check_user_name(name: str, error: type = ScopeError) -> None:
     """Reject a user push under the reserved ``__obs.`` namespace.
 
-    Names under :data:`RESERVED_PREFIX` belong to the self-instrumentation
-    publisher, which enters through the trusted ``push_obs`` paths; a
-    user push of one raises ``error``, so user data can never masquerade
-    as — or collide with — internal telemetry.  The wire boundary passes
-    its protocol error, so the violation disconnects just that session.
+    Names under :data:`~repro.core.cells.OBS_PREFIX` belong to the
+    self-instrumentation publisher, which enters through the trusted
+    ``push_obs`` paths; a user push of one raises ``error``, so user
+    data can never masquerade as — or collide with — internal
+    telemetry.  The wire boundary passes its protocol error, so the
+    violation disconnects just that session.
     """
-    if name.startswith(RESERVED_PREFIX):
+    if name.startswith(OBS_PREFIX):
         raise error(
-            f"signal name {name!r} is reserved: the {RESERVED_PREFIX!r} "
+            f"signal name {name!r} is reserved: the {OBS_PREFIX!r} "
             "namespace carries self-instrumentation samples "
             "(published via MetricsPublisher, not user pushes)"
         )
@@ -237,8 +230,9 @@ class ScopeManager:
     def _deliver(self, name: str, times, values) -> int:
         # Single clock read for tap and fan-out: see push_sample.
         now = self.loop.clock.now()
-        if _trace is not None and _trace._tracer is not None:
-            with _trace.span("deliver", signal=name, n=len(times)):
+        tracer = spans.tracer
+        if tracer is not None:
+            with tracer.span("deliver", signal=name, n=len(times)):
                 return self._deliver_at(name, times, values, now)
         return self._deliver_at(name, times, values, now)
 

@@ -1,8 +1,11 @@
 """Native-code seam: compile generated C once, load it through ctypes.
 
-The query engine's fused kernels (:mod:`repro.query.kernels`) generate
-small C translation units — one per fused-chain signature — and hand
-them here.  This module owns the *mechanism* only:
+Callers above core hand their own C translation units here: the query
+engine's fused kernels and join support (:mod:`repro.query.kernels`,
+one unit per fused-chain signature) and the capture reader's verified
+gather (:mod:`repro.capture.reader`).  Each caller owns its source and
+its ctypes signatures; this module, which imports nothing from
+``repro``, owns the *mechanism* only:
 
 * **compiler detection** — ``cc`` (or ``$CC``) probed once at first
   use; a toolchain-less install simply reports no native backend and

@@ -209,30 +209,6 @@ class Player:
         self._tuples: List[Tuple3] = list(parse_stream(lines))
         self._pos = 0
 
-    @classmethod
-    def from_capture(cls, source, default_name: str = "signal") -> "Player":
-        """Build a player straight from a binary capture store.
-
-        ``source`` is a :class:`~repro.capture.CaptureReader` or a path
-        to a capture directory.  Tuples are ordered by timestamp
-        (stream order breaking ties), matching what
-        :func:`repro.capture.export_text` would emit — the playback
-        path works on either representation of the same recording.
-        """
-        from repro.capture.reader import CaptureReader
-
-        reader = (
-            source if isinstance(source, CaptureReader) else CaptureReader(source)
-        )
-        times, values, ids = reader.sorted_columns()
-        names = reader.names
-        player = cls([], default_name=default_name)
-        player._tuples = [
-            Tuple3(time_ms=t, value=v, name=names[i])
-            for t, v, i in zip(times.tolist(), values.tolist(), ids.tolist())
-        ]
-        return player
-
     def __len__(self) -> int:
         return len(self._tuples)
 

@@ -314,13 +314,10 @@ class MainLoop:
         instruments: scrape-only, never published).
 
         Returns False — mounting nothing and leaving dispatch untouched
-        — when the obs plane is unavailable or disabled (``REPRO_OBS=0``).
+        — when the registry reports the obs plane disabled
+        (``REPRO_OBS=0``).
         """
-        try:
-            from repro.obs import metrics as _metrics
-        except ImportError:  # obs plane absent: stay dark
-            return False
-        if not _metrics.enabled():
+        if not registry.enabled():
             return False
         import time as _time
 

@@ -19,6 +19,8 @@ reproduces the visual layer without a display server:
 * :mod:`repro.gui.render` — ASCII rendering for terminals and PPM/PGM
   writers so every "screenshot" in the paper can be regenerated as a
   file.
+* :mod:`repro.gui.printing` — offline printing of recorded tuple files
+  (annotated image plus per-signal summary).
 """
 
 from repro.gui.canvas import Canvas

@@ -27,10 +27,13 @@ router loop, on supervised private loops
 (:mod:`repro.net.worker`); ``wal_root=`` adds write-ahead logging,
 failure detection and byte-identical restart to either backend.
 
-Module imports point one way (``tests/net/test_imports.py`` checks
-it): ``router`` imports ``worker``, which imports ``host``, which
-imports ``shard``; ``protocol`` and ``transport`` import no other
-module of the package.
+Imports point one way (``tests/test_layering.py`` checks it).  This
+package sits above ``query``, ``capture``, ``core`` and ``eventloop``
+and imports nothing above it; span hooks and the reserved ``__obs.``
+prefix come from core, never from ``repro.obs``.  Inside the package,
+``router`` imports ``worker``, which imports ``host``, which imports
+``shard``; ``protocol`` and ``transport`` import no other module of
+the package.
 """
 
 from repro.net.client import ScopeClient

@@ -63,7 +63,8 @@ import numpy as np
 
 from repro.capture.reader import CaptureReader
 from repro.capture.replay import catch_up
-from repro.core.manager import RESERVED_PREFIX, ScopeManager
+from repro.core.cells import is_reserved
+from repro.core.manager import ScopeManager
 from repro.eventloop.loop import MainLoop
 from repro.net.shard import ShardStats
 
@@ -186,7 +187,7 @@ class ShardHost:
         deliver like any other signal.
         """
         try:
-            if name.startswith(RESERVED_PREFIX):
+            if is_reserved(name):
                 accepted = self.manager.push_obs(name, times, values)
             else:
                 accepted = self.manager.push_samples(name, times, values)

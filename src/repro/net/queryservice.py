@@ -51,6 +51,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
+from repro.core import spans
 from repro.core.cells import NULL, Counter
 from repro.eventloop.sources import IOCondition
 from repro.net.protocol import (
@@ -68,11 +69,6 @@ from repro.query import (
     compile_query,
     plan_key,
 )
-
-try:  # the obs plane is optional; fan-out must work without it
-    from repro.obs import trace as _trace
-except ImportError:  # pragma: no cover - obs package absent
-    _trace = None
 
 __all__ = ["QueryMultiplexer", "SharedQuery"]
 
@@ -266,8 +262,9 @@ class SharedQuery:
             self._targets = targets
         if not targets:
             return
-        if _trace is not None and _trace._tracer is not None:
-            with _trace.span("fanout", signal=name, n=int(times.shape[0]), targets=len(targets)):
+        tracer = spans.tracer
+        if tracer is not None:
+            with tracer.span("fanout", signal=name, n=int(times.shape[0]), targets=len(targets)):
                 self._fan_out(name, times, values, targets)
         else:
             self._fan_out(name, times, values, targets)

@@ -12,9 +12,8 @@ pointed at a router or a plain manager interchangeably.
 Each shard's *target* is one of three objects, chosen at construction:
 
 * ``backend="loop"`` without ``wal_root`` — a
-  :class:`~repro.core.manager.ScopeManager` on the router loop (or on
-  one loop per shard).  Verdicts are synchronous, and the router keeps
-  the shard ledgers;
+  :class:`~repro.core.manager.ScopeManager` on the router loop.
+  Verdicts are synchronous, and the router keeps the shard ledgers;
 * ``backend="loop"`` with ``wal_root`` — a
   :class:`~repro.net.host.ShardHost` on a private loop, supervised;
 * ``backend="worker"`` — a :class:`~repro.net.worker.WorkerHandle` on a
@@ -37,8 +36,8 @@ places each scope on the shard of the *scope's* name by default
 (override with ``shard=``); register a signal on a scope whose shard
 matches the signal's home, or let ``auto_create`` do it.  Pushes route
 to the home shard only; a scope on a foreign shard never sees the
-signal, by design (that is what makes routing O(1)).  In-loop shards on
-a shared loop can change membership live (:meth:`Router.add_shard` /
+signal, by design (that is what makes routing O(1)).  In-loop shards
+can change membership live (:meth:`Router.add_shard` /
 :meth:`Router.remove_shard`): about ``1/N`` of the names move, each
 *scope* migrates to its name's new home, and every membership change or
 restart bumps ``topology_version``, which invalidates the route cache
@@ -80,17 +79,13 @@ from pathlib import Path
 from typing import Dict, List, Optional, Union
 
 from repro.capture.writer import CaptureWriter
+from repro.core import spans
 from repro.core.manager import ScopeManager, check_user_name
 from repro.core.scope import Scope, ScopeError
 from repro.eventloop.loop import MainLoop
 from repro.net.host import ScopeFactory, ShardDown, ShardHost, SupervisionStats
 from repro.net.shard import HashRing, ShardStats
 from repro.net.worker import WorkerHandle
-
-try:  # optional self-instrumentation plane (absence changes no bytes)
-    from repro.obs import trace as _trace
-except ImportError:  # pragma: no cover - obs package absent
-    _trace = None
 
 __all__ = [
     "BACKENDS",
@@ -138,9 +133,6 @@ class Router:
     wal_root:
         Turns on WAL-first supervision: per-shard write-ahead logs under
         ``wal_root/shard-NN/`` and rotation snapshots beside them.
-    loops:
-        One loop per in-loop shard instead of the shared ``loop``.
-        Membership is then frozen, and one tap cannot span the shards.
     use_shm:
         Worker backend: column bytes travel a shared-memory ring instead
         of the socket.
@@ -169,7 +161,6 @@ class Router:
         backend: str = "loop",
         scope_factory: Optional[ScopeFactory] = None,
         wal_root: Optional[Union[str, Path]] = None,
-        loops: Optional[List[MainLoop]] = None,
         use_shm: bool = False,
         heartbeat_ms: float = 50.0,
         heartbeat_s: float = 1.0,
@@ -191,15 +182,6 @@ class Router:
                 "monitor interval shorter than the heartbeat would declare "
                 f"healthy hosts dead: {interval} < {heartbeat_ms}"
             )
-        if loops is not None:
-            if loop is not None:
-                raise ValueError("pass either loop or loops, not both")
-            if len(loops) != shards:
-                raise ValueError(
-                    f"loops must have one entry per shard: {len(loops)} vs {shards}"
-                )
-            if backend != "loop" or wal_root is not None:
-                raise ValueError("loops= needs in-loop shards without a WAL")
         self.backend = backend
         self.loop = loop if loop is not None else MainLoop()
         self.scope_factory = scope_factory
@@ -214,7 +196,6 @@ class Router:
         # In-loop shards without a WAL are plain managers on the router
         # side: verdicts are synchronous and the router keeps the ledger.
         self._local = backend == "loop" and wal_root is None
-        self._loops = loops
         self._stats_cls = ShardStats if wal_root is None else SupervisionStats
         self._ring = HashRing(range(shards))
         # name → shard id, invalidated wholesale on membership change.
@@ -276,8 +257,7 @@ class Router:
                 use_shm=self.use_shm,
             )
         if not supervised:
-            loop = self._loops[shard_id] if self._loops is not None else self.loop
-            manager = ScopeManager(loop)
+            manager = ScopeManager(self.loop)
             if self.scope_factory is not None:
                 self.scope_factory(manager, shard_id)
             return manager
@@ -297,7 +277,7 @@ class Router:
         """Live shard ids, ascending (contiguous until membership changes)."""
         return sorted(self._targets)
 
-    def target(self, shard_id: int):
+    def handle_of(self, shard_id: int):
         """The delivery target of one shard (manager, host or worker)."""
         try:
             return self._targets[shard_id]
@@ -309,13 +289,9 @@ class Router:
         """Every shard's target, in shard-id order."""
         return [self._targets[i] for i in sorted(self._targets)]
 
-    # The names the backends' callers know their targets by.
-    host = handle_of = target
-    hosts = targets
-
     def manager_of(self, shard_id: int) -> ScopeManager:
         """The in-process manager of one shard."""
-        target = self.target(shard_id)
+        target = self.handle_of(shard_id)
         if isinstance(target, WorkerHandle):
             raise ValueError(
                 f"shard {shard_id} is a worker process; its manager lives "
@@ -363,8 +339,9 @@ class Router:
         Reserved ``__obs.`` names are rejected; internal telemetry
         enters through :meth:`push_obs`.
         """
-        if _trace is not None and _trace._tracer is not None:
-            with _trace.span("route", signal=name, n=len(times)):
+        tracer = spans.tracer
+        if tracer is not None:
+            with tracer.span("route", signal=name, n=len(times)):
                 return self._route(name, times, values, False)
         return self._route(name, times, values, False)
 
@@ -425,17 +402,15 @@ class Router:
             target.advance(now)
 
     # ------------------------------------------------------------------
-    # Ring membership (in-loop shards on one shared loop)
+    # Ring membership (in-loop shards)
     # ------------------------------------------------------------------
     def _bump_epoch(self) -> None:
         self._epoch += 1
         self._route_cache.clear()
 
     def _require_membership(self) -> None:
-        if not self._local or self._loops is not None:
-            raise ValueError(
-                "membership changes need in-loop shards on the shared-loop layout"
-            )
+        if not self._local:
+            raise ValueError("membership changes need in-loop shards without a WAL")
 
     def _migrate_scopes(self) -> None:
         """Move every scope to its name's (possibly new) home shard."""
@@ -468,7 +443,7 @@ class Router:
         its ingest counters fold into the retained totals, so
         :meth:`totals` keeps counting its traffic.
         """
-        self.target(shard_id)
+        self.handle_of(shard_id)
         if len(self._targets) == 1:
             raise ValueError("cannot remove the last shard")
         self._require_membership()
@@ -526,12 +501,7 @@ class Router:
             manager.stop_all()
 
     def run_for(self, duration_ms: float) -> None:
-        """Drive every distinct shard loop for ``duration_ms``.
-
-        With per-shard loops each advances independently (virtual clocks
-        stay deterministic, but cross-shard event order is unspecified —
-        shards are partitions, not replicas).
-        """
+        """Drive every distinct shard loop for ``duration_ms``."""
         for loop in self.loops:
             loop.run_for(duration_ms)
 
@@ -542,20 +512,12 @@ class Router:
         """Attach one push tap across every in-loop shard.
 
         A push routes to exactly one home shard, so the tap still sees
-        each offered batch once.  With per-shard loops the shards'
-        clocks advance independently, so one interleaved stream has no
-        monotonic timeline — use :func:`repro.capture.capture_sharded`
-        there, which taps each shard manager with its own writer.
+        each offered batch once.
         """
         if not self._local:
             raise ValueError(
                 "taps attach to in-loop shards; supervised and worker shards "
                 "replace their managers on restart"
-            )
-        if len(self.loops) > 1:
-            raise ValueError(
-                "one tap across per-shard loops has no monotonic clock; "
-                "use repro.capture.capture_sharded for one stream per shard"
             )
         for manager in self.managers:
             manager.add_tap(tap)
@@ -709,7 +671,7 @@ class Router:
         """
         if self._wals is None:
             raise ValueError("restart needs a supervised router (wal_root=)")
-        old = self.target(shard_id)
+        old = self.handle_of(shard_id)
         if isinstance(old, WorkerHandle):
             old.kill()
             old.close(timeout_s=2.0)
@@ -743,9 +705,7 @@ class Router:
         A worker's request is queued behind every delivery already sent,
         so the state covers all of them.
         """
-        return self.target(shard_id).snapshot_state()
-
-    snapshot_state = snapshot
+        return self.handle_of(shard_id).snapshot_state()
 
     def snapshot_shard(self, shard_id: int) -> dict:
         """Snapshot one shard at the router instant and retire its WAL.
@@ -757,7 +717,7 @@ class Router:
         bounded by the snapshot cadence instead of growing with history.
         Only a running shard can snapshot.
         """
-        target = self.target(shard_id)
+        target = self.handle_of(shard_id)
         target.advance(self.loop.clock.now())
         snap = target.snapshot_state()
         state_path = self.state_path(shard_id)
@@ -782,19 +742,17 @@ class Router:
     # ------------------------------------------------------------------
     def crash_shard(self, shard_id: int) -> None:
         """Crash an in-process host, or SIGKILL a worker process."""
-        target = self.target(shard_id)
+        target = self.handle_of(shard_id)
         if isinstance(target, WorkerHandle):
             target.kill()
         else:
             target.crash()
 
-    kill_shard = crash_shard
-
     def stall_shard(self, shard_id: int) -> None:
-        self.target(shard_id).stall()
+        self.handle_of(shard_id).stall()
 
     def resume_shard(self, shard_id: int) -> None:
-        self.target(shard_id).resume()
+        self.handle_of(shard_id).resume()
 
     # ------------------------------------------------------------------
     # Accounting
@@ -890,13 +848,9 @@ class Router:
         self.close()
 
 
-def ShardedScopeManager(
-    shards: int = 4,
-    loop: Optional[MainLoop] = None,
-    loops: Optional[List[MainLoop]] = None,
-) -> Router:
+def ShardedScopeManager(shards: int = 4, loop: Optional[MainLoop] = None) -> Router:
     """An in-loop :class:`Router`: one ScopeManager per shard."""
-    return Router(shards, loop, loops=loops)
+    return Router(shards, loop)
 
 
 def ProcessShardedScopeManager(

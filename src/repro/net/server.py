@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from repro.core import spans
 from repro.core.cells import Counter
 from repro.core.manager import check_user_name
 from repro.core.tuples import Tuple3, TupleFormatError
@@ -35,18 +36,14 @@ from repro.eventloop.sources import IOCondition
 from repro.net.protocol import Frame, FrameKind, ProtocolError, WireDecoder
 from repro.net.queryservice import QueryMultiplexer
 
-try:  # optional self-instrumentation plane (absence changes no bytes)
-    from repro.obs import trace as _trace
-except ImportError:  # pragma: no cover - obs package absent
-    _trace = None
-
 #: Session disconnect reasons get one counter cell each, pre-created so
 #: the instrument catalog is stable across runs.
 _DISCONNECT_REASONS = ("eof", "protocol", "transport", "server")
 
-#: Counter fields folded into the retained aggregate when a client
-#: disconnects, so :meth:`ScopeServer.totals` stays accurate across
-#: connection churn without keeping dead ClientState objects alive.
+#: Aggregate ingest counters.  Each has one cell, bumped at the same
+#: sites as the per-session ints, so :meth:`ScopeServer.totals` stays
+#: accurate across connection churn without keeping dead ClientState
+#: objects alive.
 _COUNTER_FIELDS = (
     "received",
     "accepted",
@@ -130,10 +127,8 @@ class ScopeServer:
         self.auto_create = auto_create
         self.max_drain_bytes = max_drain_bytes
         self._clients: List[ClientState] = []
-        # Aggregate counters of departed clients (see disconnect()).
-        self._retired: Dict[str, int] = {k: 0 for k in _COUNTER_FIELDS}
-        # Live aggregate cells: incremented at the same ingest sites as
-        # the per-session ints, so cell value == live sum + retired at
+        # Aggregate cells: incremented at the same ingest sites as the
+        # per-session ints, so cell value == live sum + departed sum at
         # every instant.  totals() is a view over these, and
         # register_metrics() mounts the very same cells — one source of
         # truth for accessors and the ``__obs.`` publisher alike.
@@ -142,10 +137,6 @@ class ScopeServer:
             r: Counter(f"disconnects.{r}") for r in _DISCONNECT_REASONS
         }
         self.retired_clients = 0
-        #: Departed sessions bucketed by disconnect reason — the fault
-        #: post-mortem ledger ("how many clients did we lose to torn
-        #: streams vs orderly closes?").
-        self.disconnect_reasons: Dict[str, int] = {}
         # Carried-name cache for _ensure_signal: names known to be
         # carried (or auto-created), invalidated on scope add/remove via
         # the manager's topology version.
@@ -168,11 +159,11 @@ class ScopeServer:
         return state
 
     def disconnect(self, state: ClientState, reason: str = "server") -> None:
-        """Drop a client, folding its counters into the retained totals.
+        """Drop a client; its traffic stays counted in :meth:`totals`.
 
         The ClientState is pruned from the live list — a long-running
-        server with connection churn must not accumulate dead sessions —
-        while :meth:`totals` keeps counting its traffic.  ``reason``
+        server with connection churn must not accumulate dead sessions;
+        the aggregate cells already hold its counts.  ``reason``
         (``"eof"``, ``"protocol"``, ``"transport"``, or the default
         explicit ``"server"``) is recorded on the state and tallied in
         :attr:`disconnect_reasons`, so post-fault accounting can tell an
@@ -193,17 +184,22 @@ class ScopeServer:
             self._clients.remove(state)
         except ValueError:
             return  # already pruned (double disconnect)
-        for key in _COUNTER_FIELDS:
-            self._retired[key] += getattr(state, key)
         self.retired_clients += 1
-        self.disconnect_reasons[state.disconnect_reason] = (
-            self.disconnect_reasons.get(state.disconnect_reason, 0) + 1
-        )
         reason_cell = self._reason_cells.get(state.disconnect_reason)
         if reason_cell is None:
             reason_cell = Counter(f"disconnects.{state.disconnect_reason}")
             self._reason_cells[state.disconnect_reason] = reason_cell
         reason_cell.inc()
+
+    @property
+    def disconnect_reasons(self) -> Dict[str, int]:
+        """Departed sessions bucketed by disconnect reason (nonzero only).
+
+        The fault post-mortem ledger ("how many clients did we lose to
+        torn streams vs orderly closes?"), read from the per-reason
+        counter cells that :meth:`register_metrics` mounts.
+        """
+        return {r: c.value for r, c in self._reason_cells.items() if c.value}
 
     @property
     def clients(self) -> List[ClientState]:
@@ -280,8 +276,9 @@ class ScopeServer:
             state.received += n
             cells["received"].inc(n)
             self._ensure_signal(name)
-            if _trace is not None and _trace._tracer is not None:
-                with _trace.span("ingest", signal=name, n=n):
+            tracer = spans.tracer
+            if tracer is not None:
+                with tracer.span("ingest", signal=name, n=n):
                     accepted = self.manager.push_samples(
                         name, frame.times, frame.values
                     )

@@ -34,7 +34,7 @@ from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
 
-from repro.core.cells import Counter
+from repro.core.cells import Counter, cell_property
 
 __all__ = [
     "HashRing",
@@ -130,18 +130,6 @@ def shard_of(name: str, n_shards: int) -> int:
     return _default_ring(n_shards).locate(name)
 
 
-def _cell_property(field: str) -> property:
-    """Attribute façade over a named :class:`Counter` cell."""
-
-    def fget(self) -> int:
-        return self._cells[field].value
-
-    def fset(self, value: int) -> None:
-        self._cells[field].value = value
-
-    return property(fget, fset, doc=f"counter cell {field!r}")
-
-
 class ShardStats:
     """Per-shard ingest accounting (the backpressure counters).
 
@@ -200,7 +188,7 @@ class ShardStats:
     def _install_cell_properties(cls) -> None:
         for field in cls.COUNTER_FIELDS:
             if not isinstance(getattr(cls, field, None), property):
-                setattr(cls, field, _cell_property(field))
+                setattr(cls, field, cell_property(field))
 
     def cell(self, field: str) -> Counter:
         """The live counter cell behind ``field`` (for direct bridging)."""

@@ -16,13 +16,16 @@ Two modules:
 * :mod:`repro.obs.trace` — span tracing on virtual time with a
   ring-buffer collector and Chrome ``chrome://tracing`` JSON export.
 
-This package imports only the dependency-free cell primitives in
-:mod:`repro.core.cells`: instrumented modules import *it* (guarded),
-never the other way around, so there are no cycles and the whole plane
-can be absent (``REPRO_OBS=0`` or the package never imported) without
-changing a single primary-signal byte.  Bridged subsystem statistics
-stay live either way — their cells come from ``repro.core.cells``, not
-from here.
+Layering: this package sits above :mod:`repro.core` and imports only
+core from the rest of ``repro``.  Nothing below it imports it.  The
+pieces that instrumented modules need — the metric cells and the
+reserved ``__obs.`` prefix (:mod:`repro.core.cells`) and the tracer
+slot (:mod:`repro.core.spans`) — live in core.  This package fills
+them: :func:`install_tracer` fills the tracer slot, and a registry
+mounts the cells.  So the whole plane can be absent (``REPRO_OBS=0``,
+or the package never imported) without changing a single
+primary-signal byte, and bridged subsystem statistics stay live
+either way.
 """
 
 from repro.obs.metrics import (

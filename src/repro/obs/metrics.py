@@ -26,15 +26,18 @@ from __future__ import annotations
 import os
 from typing import Callable, Dict, List, Optional, Tuple
 
-# Cell classes live in the dependency-free core (bridged subsystem
-# stats must work even when this package is never imported); the
-# registry, publisher and enablement policy live here.
+# Cell classes and the reserved prefix live in the dependency-free core
+# (bridged subsystem stats must work even when this package is never
+# imported); the registry, publisher and enablement policy live here.
 from repro.core.cells import DEFAULT_BOUNDS as _DEFAULT_BOUNDS
-from repro.core.cells import NULL, Counter, Gauge, Histogram
-
-#: Reserved signal-name prefix for self-instrumentation samples.  User
-#: pushes into this namespace are rejected at the manager boundary.
-OBS_PREFIX = "__obs."
+from repro.core.cells import (
+    NULL,
+    OBS_PREFIX,
+    Counter,
+    Gauge,
+    Histogram,
+    is_reserved,
+)
 
 
 def enabled() -> bool:
@@ -48,11 +51,6 @@ def enabled() -> bool:
     return os.environ.get("REPRO_OBS", "1") not in ("0", "false", "no")
 
 
-def is_reserved(name: str) -> bool:
-    """True when ``name`` lives in the reserved ``__obs.`` namespace."""
-    return name.startswith(OBS_PREFIX)
-
-
 # ----------------------------------------------------------------------
 # Registry
 # ----------------------------------------------------------------------
@@ -63,6 +61,10 @@ class MetricsRegistry:
     it on the wire, so one registry can serve several publishers (or a
     plain :meth:`snapshot` scrape) without baking routing into names.
     """
+
+    #: Whether the obs plane is on; asked by sources (the event loop)
+    #: that mount instruments without importing this package.
+    enabled = staticmethod(enabled)
 
     def __init__(self) -> None:
         self._cells: Dict[str, object] = {}

@@ -7,17 +7,11 @@ clock it was built with.  On a
 produce identical spans, so traces are replayable evidence, not
 one-shot luck.
 
-Instrumented modules never talk to a collector directly; they call the
-module-level :func:`span`:
-
-    with trace.span("deliver", shard=3):
-        ...
-
-When no tracer is installed (the default, and always when
-``REPRO_OBS=0``) that returns a shared no-op context manager — the
-disabled cost is one global read and two no-op calls per span site,
-which is why spans sit on per-batch paths (ingest, route, deliver,
-derive, fanout), never per-sample ones.
+Instrumented modules never import this one: they open spans through
+the tracer slot in :mod:`repro.core.spans`, which :func:`install_tracer`
+fills.  With no tracer installed (the default, and always when
+``REPRO_OBS=0``) a span site costs one attribute read and one
+``is None`` test.
 
 Export is Chrome's trace-event JSON (``chrome://tracing`` /
 https://ui.perfetto.dev): complete events (``ph: "X"``) with
@@ -27,8 +21,10 @@ microsecond timestamps derived from the millisecond clock.
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional
+from typing import List, Optional
 
+# NULL_SPAN, current_tracer and span are re-exported: the hook is core's.
+from repro.core.spans import NULL_SPAN, current_tracer, set_tracer, span  # noqa: F401
 from repro.obs.metrics import enabled
 
 
@@ -65,21 +61,6 @@ class _SpanHandle:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self._collector.end()
-
-
-class _NullSpan:
-    """Shared no-op span: what :func:`span` returns with no tracer."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullSpan":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        pass
-
-
-NULL_SPAN = _NullSpan()
 
 
 class TraceCollector:
@@ -169,33 +150,13 @@ class TraceCollector:
         )
 
 
-# ----------------------------------------------------------------------
-# Module-level tracer slot
-# ----------------------------------------------------------------------
-_tracer: Optional[TraceCollector] = None
-
-
 def install_tracer(collector: TraceCollector) -> bool:
     """Make ``collector`` the process tracer; False when obs is disabled."""
-    global _tracer
     if not enabled():
         return False
-    _tracer = collector
+    set_tracer(collector)
     return True
 
 
 def uninstall_tracer() -> None:
-    global _tracer
-    _tracer = None
-
-
-def current_tracer() -> Optional[TraceCollector]:
-    return _tracer
-
-
-def span(name: str, **args):
-    """Open a span on the installed tracer, or a shared no-op without one."""
-    t = _tracer
-    if t is None:
-        return NULL_SPAN
-    return t.span(name, **args)
+    set_tracer(None)

@@ -49,9 +49,13 @@ from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
+import repro.query.kernels as kernels
+from repro.core import native
 from repro.core.aggregate import AggregateKind
+from repro.core.cells import OBS_PREFIX, is_reserved
 from repro.core.trigger import Edge
 from repro.query.errors import QueryCompileError
+from repro.query.ops import BINARY_FNS
 from repro.query.parser import (
     Binary,
     Call,
@@ -128,9 +132,6 @@ class Plan:
         Shows every node, its inputs, and — for ``fused`` nodes — the
         collapsed operator chain and which backend will execute it.
         """
-        from repro.core import native
-        from repro.query import kernels
-
         source_of = {node_id: name for name, node_id in self.sources.items()}
         outputs_of: Dict[int, List[str]] = {}
         for name, node_id in self.outputs.items():
@@ -171,8 +172,6 @@ class _Const(float):
 
 def _numpy_fold(op: str, a: float, b: float) -> float:
     """Fold a constant binary op with the runtime's own numpy semantics."""
-    from repro.query.ops import BINARY_FNS
-
     with np.errstate(divide="ignore", invalid="ignore"):
         return float(BINARY_FNS[op](np.float64(a), np.float64(b)))
 
@@ -221,7 +220,7 @@ class _Compiler:
                         "name the others (e.g. 'load = ewma(cpu, 0.9)')"
                     )
                 name = self.default_name
-            if name.startswith("__obs."):
+            if is_reserved(name):
                 # Reading `__obs.*` sources is the point of the obs
                 # plane; *defining* into it is forbidden — a definition
                 # resolves def-first, shadowing the live telemetry
@@ -229,9 +228,9 @@ class _Compiler:
                 # values back into the reserved namespace the publisher
                 # owns (a self-loop).
                 raise QueryCompileError(
-                    f"derived signal {name!r} lands in the reserved '__obs.' "
-                    "namespace; queries may read __obs.* signals but never "
-                    "define them"
+                    f"derived signal {name!r} lands in the reserved "
+                    f"{OBS_PREFIX!r} namespace; queries may read "
+                    f"{OBS_PREFIX}* signals but never define them"
                 )
             if name in self._defs:
                 raise QueryCompileError(f"duplicate definition of {name!r}")
@@ -488,14 +487,12 @@ def fuse_plan(plan: Plan) -> Plan:
     a compiled kernel or the original numpy operator chain is decided
     per-signature at runtime (:func:`repro.query.kernels.get_fused`).
     """
-    from repro.query.kernels import FUSABLE_OPS
-
     consumers: Dict[int, int] = {node.id: 0 for node in plan.nodes}
     for node in plan.nodes:
         for input_id in node.inputs:
             consumers[input_id] += 1
     published = set(plan.outputs.values())
-    fusable = {node.id for node in plan.nodes if node.op in FUSABLE_OPS}
+    fusable = {node.id for node in plan.nodes if node.op in kernels.FUSABLE_OPS}
     consumer_of: Dict[int, int] = {}
     for node in plan.nodes:
         if node.id in fusable:
@@ -566,8 +563,6 @@ def compile_query(
     program = parse(query) if isinstance(query, str) else query
     plan = _Compiler(program, default_name).compile()
     if fuse is None:
-        from repro.core import native
-
         fuse = native.fusion_enabled()
     return fuse_plan(plan) if fuse else plan
 

@@ -26,13 +26,9 @@ from typing import Callable, Dict, List, Optional, Union
 
 import numpy as np
 
+from repro.core import spans
 from repro.query.compile import Plan, compile_query
 from repro.query.ops import ArrayLike, Runtime
-
-try:  # the obs plane is optional; live evaluation must work without it
-    from repro.obs import trace as _trace
-except ImportError:  # pragma: no cover - obs package absent
-    _trace = None
 
 OutputObserver = Callable[[str, np.ndarray, np.ndarray], None]
 QuarantineObserver = Callable[["LiveQuery", BaseException], None]
@@ -49,8 +45,7 @@ class LiveQuery:
     manager:
         Anything with ``add_tap``/``remove_tap``/``push_samples`` — a
         :class:`~repro.core.manager.ScopeManager`, a
-        :class:`~repro.net.router.Router` (in-loop, shared-loop
-        layout) or a single :class:`~repro.core.scope.Scope`.  When
+        :class:`~repro.net.router.Router` (in-loop shards) or a single :class:`~repro.core.scope.Scope`.  When
         given, the query attaches immediately and every derived batch is
         pushed back under its output name.  Omit it to consume outputs
         through :meth:`on_output` only.
@@ -101,8 +96,9 @@ class LiveQuery:
         if self._error is not None or self.runtime.finished:
             return
         try:
-            if _trace is not None and _trace._tracer is not None:
-                with _trace.span("derive", signal=name, n=len(times)):
+            tracer = spans.tracer
+            if tracer is not None:
+                with tracer.span("derive", signal=name, n=len(times)):
                     self.runtime.feed(name, times, values)
             else:
                 self.runtime.feed(name, times, values)

@@ -46,12 +46,11 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+import repro.query.kernels as kernels
 from repro.core import native
 from repro.core.aggregate import AggregateKind, make_aggregator
 from repro.core.lowpass import LowPassFilter
 from repro.core.trigger import Edge, Trigger
-from repro.query import kernels
-from repro.query.compile import Plan
 from repro.query.errors import QueryError
 
 ArrayLike = Union[Sequence[float], np.ndarray]
@@ -687,7 +686,7 @@ class Runtime:
     to published outputs with :meth:`add_sink` before feeding.
     """
 
-    def __init__(self, plan: Plan) -> None:
+    def __init__(self, plan) -> None:
         self.plan = plan
         self._ops: List[Operator] = []
         for node in plan.nodes:

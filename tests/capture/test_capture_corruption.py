@@ -314,3 +314,83 @@ class TestCrashRecovery:
         # the disk is a complete, valid store.
         reader = CaptureReader(path)
         assert reader.sample_count == 16
+
+
+class TestReadPathModes:
+    """The native gather (CRC check and copy in one C pass) and the numpy
+    fallback (``REPRO_NATIVE=0``, the oracle) read identical bytes and
+    fail on the same block."""
+
+    @pytest.fixture
+    def modes(self, monkeypatch):
+        from repro.capture import reader as reader_module
+        from repro.core import native
+
+        def use(mode):
+            if mode == "numpy":
+                monkeypatch.setenv("REPRO_NATIVE", "0")
+            else:
+                monkeypatch.delenv("REPRO_NATIVE", raising=False)
+            native.reset()
+            gather = reader_module._native_gather()
+            if mode == "native" and gather is None:
+                pytest.skip("no C toolchain with zlib: native gather unavailable")
+            assert (gather is None) == (mode == "numpy")
+
+        yield use
+        native.reset()
+
+    @staticmethod
+    def write_store(path):
+        rng = np.random.default_rng(5)
+        with CaptureWriter(path, segment_samples=40) as writer:
+            now = 0.0
+            for k in range(30):
+                now += 10.0
+                n = int(rng.integers(1, 9))
+                times = np.sort(rng.uniform(now - 20, now, n))
+                writer.on_push(f"sig{k % 3}", times, rng.standard_normal(n), now)
+            writer.on_push("once", np.array([1.0]), np.array([2.0]), now)
+
+    @staticmethod
+    def read(path):
+        reader = CaptureReader(path)
+        assert len(reader.segments) > 2
+        # Pre-verify some blocks so the gather meets both kinds.
+        for segment in reader.segments[::2]:
+            segment.verify_block(0)
+        together = reader.columns_for(reader.names)
+        return {
+            name: [column.tobytes() for column in together[name] + reader.read_signal(name)]
+            for name in reader.names
+        }
+
+    def test_native_and_numpy_read_identical_bytes(self, tmp_path, modes):
+        path = tmp_path / "cap"
+        self.write_store(path)
+        modes("native")
+        native_bytes = self.read(path)
+        modes("numpy")
+        assert self.read(path) == native_bytes
+        assert set(native_bytes) == {"sig0", "sig1", "sig2", "once"}
+
+    def test_flipped_payload_byte_names_same_block(self, tmp_path, modes):
+        path = tmp_path / "cap"
+        self.write_store(path)
+        reader = CaptureReader(path)
+        segment = reader.segments[1]
+        name_id = segment.names.index("sig1")
+        hits = np.flatnonzero(segment.directory["name_id"] == name_id)
+        assert hits.size > 1
+        bad = int(hits[-1])  # not the first block of the gather
+        offset = int(segment.directory["offset"][bad])
+        seg_path = segment.path
+        reader.close()
+        raw = bytearray(seg_path.read_bytes())
+        raw[offset + 3] ^= 0x40
+        seg_path.write_bytes(bytes(raw))
+        expected = f"{seg_path.name}: block {bad} payload CRC mismatch"
+        for mode in ("native", "numpy"):
+            modes(mode)
+            with pytest.raises(CaptureFormatError, match=expected):
+                CaptureReader(path).columns_for(["sig0", "sig1"])

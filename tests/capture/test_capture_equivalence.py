@@ -18,7 +18,13 @@ import random
 import numpy as np
 import pytest
 
-from repro.capture import CaptureReader, CaptureWriter, ReplaySource, export_text
+from repro.capture import (
+    CaptureReader,
+    CaptureWriter,
+    ReplaySource,
+    export_text,
+    player_from_capture,
+)
 from repro.core.manager import ScopeManager
 from repro.core.signal import buffer_signal
 from repro.core.tuples import Player
@@ -174,8 +180,8 @@ def test_text_player_delivers_the_same_samples(seed, tmp_path):
         )
     ]
 
-    # Player.from_capture is the same adapter without the text detour.
-    direct = Player.from_capture(reader)
+    # player_from_capture is the same adapter without the text detour.
+    direct = player_from_capture(reader)
     assert [(p.time_ms, p.value, p.name) for p in direct.advance_to(float("inf"))] == [
         (p.time_ms, p.value, p.name) for p in delivered
     ]

@@ -14,6 +14,7 @@ from repro.capture import (
     capture_sharded,
     export_text,
     import_text,
+    player_from_capture,
 )
 from repro.core.manager import ScopeManager
 from repro.core.signal import buffer_signal
@@ -295,15 +296,6 @@ class TestTaps:
         reader = CaptureReader(tmp_path / "cap")
         assert reader.sample_count == 3
 
-    def test_sharded_tap_rejects_per_shard_loops(self, tmp_path):
-        # Independent shard clocks cannot interleave into one monotonic
-        # stream; the per-shard capture_sharded layout covers that case.
-        sharded = ShardedScopeManager(shards=2, loops=[MainLoop(), MainLoop()])
-        with pytest.raises(ValueError, match="capture_sharded"):
-            sharded.add_tap(lambda *a: None)
-        writers = capture_sharded(sharded, tmp_path / "cap")
-        assert len(writers) == 2
-
     def test_sharded_capture_one_stream_per_shard(self, tmp_path):
         loop = MainLoop()
         sharded = ShardedScopeManager(shards=3, loop=loop)
@@ -358,7 +350,7 @@ class TestTextConversion:
         sink = io.StringIO()
         export_text(CaptureReader(tmp_path / "cap"), sink)
         via_text = Player(io.StringIO(sink.getvalue()))
-        direct = Player.from_capture(str(tmp_path / "cap"))
+        direct = player_from_capture(str(tmp_path / "cap"))
         a = [(t.time_ms, t.value, t.name) for t in via_text.advance_to(float("inf"))]
         b = [(t.time_ms, t.value, t.name) for t in direct.advance_to(float("inf"))]
         assert a == b

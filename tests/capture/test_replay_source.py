@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.capture import CaptureReader, CaptureWriter, ReplaySource
-from repro.core.tuples import Player
+from repro.capture import CaptureReader, CaptureWriter, ReplaySource, player_from_capture
 from repro.eventloop.loop import MainLoop
 
 pytestmark = pytest.mark.capture
@@ -187,7 +186,7 @@ class TestRewind:
 
         # Same contract as the text player: rewind restarts from the
         # first tuple and a full advance re-delivers everything.
-        player = Player.from_capture(str(store))
+        player = player_from_capture(str(store))
         once = [(p.time_ms, p.value) for p in player.advance_to(float("inf"))]
         assert player.exhausted
         player.rewind()

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from repro.core.printing import (
+from repro.gui.printing import (
     SignalSummary,
     format_summary,
     print_recording,

@@ -64,11 +64,11 @@ def factory(manager, shard_id):
 def snapshot(sup):
     """Traces, aggregates and ingest counters after a final catch-up."""
     end = sup.loop.clock.now()
-    for host in sup.hosts:
+    for host in sup.targets:
         host.advance(end)
     traces = {}
     aggregates = {}
-    for shard_id, host in enumerate(sup.hosts):
+    for shard_id, host in enumerate(sup.targets):
         scope = host.manager.scope(f"scope-{shard_id}")
         for name in SIGNALS:
             if shard_of(name, N_SHARDS) != shard_id:
@@ -209,7 +209,7 @@ def test_restart_latency_bound(seed, tmp_path):
     loop.timeout_add(TICK_MS, feed)
     loop.timeout_add(kill_at, lambda lost: (sup.crash_shard(1), False)[1])
     loop.run_until(RUN_MS)
-    stats = sup.host(1).stats
+    stats = sup.handle_of(1).stats
     assert stats.restarts == 1
     bound = (MISS_THRESHOLD + 1) * sup.monitor_interval_ms
     assert stats.last_restart_at - kill_at <= bound + 1e-9
@@ -445,7 +445,7 @@ def process_run(tmp_path, seed, kill_at, victim=0, rotate_before_kill=False):
                 if rotate_before_kill:
                     for shard_id in range(N_SHARDS):
                         sup.snapshot_shard(shard_id)
-                sup.kill_shard(victim)
+                sup.crash_shard(victim)
                 killed = True
             for name in SIGNALS:
                 n = rng.randrange(0, 4)
@@ -460,7 +460,7 @@ def process_run(tmp_path, seed, kill_at, victim=0, rotate_before_kill=False):
         loop.run_until(PROC_RUN_MS)
         sup.drain(timeout_s=120.0)
         totals = sup.totals()
-        states = {i: sup.snapshot_state(i) for i in range(N_SHARDS)}
+        states = {i: sup.snapshot(i) for i in range(N_SHARDS)}
     return totals, states
 
 

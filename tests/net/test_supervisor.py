@@ -39,7 +39,7 @@ class TestHeartbeat:
     def test_running_host_beats_every_interval(self, tmp_path):
         loop, sup = make_supervisor(tmp_path)
         loop.run_until(500.0)
-        for host in sup.hosts:
+        for host in sup.targets:
             # 500ms at 50ms beats, give or take the inclusive edge.
             assert 8 <= host.beats <= 11
             assert host.state is ShardState.RUNNING
@@ -51,21 +51,21 @@ class TestHeartbeat:
         sup.stall_shard(0)
         # miss_threshold=3 ticks at 50ms → detection within 200ms.
         loop.run_until(600.0)
-        host = sup.host(0)
+        host = sup.handle_of(0)
         assert host.state is ShardState.RUNNING  # fresh replacement
         assert host.stats.restarts == 1
         assert host.stats.missed_beats >= 3
         assert host.stats.last_restart_at is not None
         assert host.stats.last_restart_at - 300.0 <= 4 * 50.0 + 1e-9
         assert len(sup.quarantined) == 1
-        assert sup.host(1).stats.restarts == 0  # healthy shard untouched
+        assert sup.handle_of(1).stats.restarts == 0  # healthy shard untouched
 
     def test_crashed_host_detected_within_one_tick(self, tmp_path):
         loop, sup = make_supervisor(tmp_path)
         loop.run_until(275.0)
         sup.crash_shard(1)
         loop.run_until(350.0)  # next monitor tick at 300
-        host = sup.host(1)
+        host = sup.handle_of(1)
         assert host.stats.restarts == 1
         assert host.stats.last_restart_at <= 300.0 + 1e-9
 
@@ -84,10 +84,10 @@ class TestDelivery:
         home = sup.shard_of(name)
         sup.crash_shard(home)
         with pytest.raises(ShardDown):
-            sup.host(home).deliver(0.0, name, (0.0,), (1.0,))
+            sup.handle_of(home).deliver(0.0, name, (0.0,), (1.0,))
         # The routed path absorbs it (WAL holds the batch).
         assert sup.push_samples(name, (0.0,), (1.0,)) == 0
-        assert sup.host(home).stats.lost_deliveries == 1
+        assert sup.handle_of(home).stats.lost_deliveries == 1
 
     def test_stall_then_resume_is_lossless(self, tmp_path):
         loop, sup = make_supervisor(tmp_path, auto_start=False)
@@ -98,9 +98,9 @@ class TestDelivery:
         sup.stall_shard(home)
         loop.clock.wait_until(120.0)
         sup.push_samples(name, (120.0,), (2.0,))  # parks in the inbox
-        assert sup.host(home).stats.offered == 1
+        assert sup.handle_of(home).stats.offered == 1
         sup.resume_shard(home)
-        stats = sup.host(home).stats
+        stats = sup.handle_of(home).stats
         assert stats.offered == 2
         assert stats.accepted == 2
 
@@ -128,10 +128,10 @@ class TestRestartRecovery:
         for k in range(20):
             loop.clock.wait_until(k * 10.0)
             sup.push_samples(name, (k * 10.0,), (float(k),))
-        accepted_before = sup.host(home).stats.accepted
+        accepted_before = sup.handle_of(home).stats.accepted
         sup.crash_shard(home)
         sup.restart_shard(home)
-        stats = sup.host(home).stats
+        stats = sup.handle_of(home).stats
         assert stats.restarts == 1
         assert stats.replayed_samples == 20
         assert stats.offered == 20
@@ -190,7 +190,7 @@ class TestRestartRecovery:
             sup.push_samples(name, (k * 10.0,), (float(k),))
         sup.crash_shard(home)
         sup.restart_shard(home)
-        stats = sup.host(home).stats
+        stats = sup.handle_of(home).stats
         assert stats.restarts == 2
         assert stats.replayed_samples == 20  # both halves, second restart
         assert stats.offered == 20
@@ -227,16 +227,16 @@ class TestWalRotation:
         for k in range(20):
             loop.clock.wait_until(k * 10.0)
             sup.push_samples(name, (k * 10.0,), (float(k),))
-        accepted_mid = sup.host(home).stats.accepted
+        accepted_mid = sup.handle_of(home).stats.accepted
         sup.snapshot_shard(home)
         for k in range(20, 30):
             loop.clock.wait_until(k * 10.0)
             sup.push_samples(name, (k * 10.0,), (float(k),))
-        accepted_before = sup.host(home).stats.accepted
+        accepted_before = sup.handle_of(home).stats.accepted
         assert accepted_before > accepted_mid
         sup.crash_shard(home)
         sup.restart_shard(home)
-        stats = sup.host(home).stats
+        stats = sup.handle_of(home).stats
         assert stats.restarts == 1
         assert stats.replayed_samples == 10  # the post-snapshot suffix only
         assert stats.offered == 30  # snapshot ledger + replayed suffix
@@ -305,7 +305,7 @@ class TestWalRotation:
             sup.push_samples(name, (k * 10.0,), (float(k),))
         sup.crash_shard(home)
         sup.restart_shard(home)
-        stats = sup.host(home).stats
+        stats = sup.handle_of(home).stats
         assert stats.restarts == 2
         assert stats.replayed_samples == 5
         assert stats.offered == 15
@@ -318,11 +318,11 @@ class TestWalRotation:
         for k in range(12):
             loop.clock.wait_until(k * 10.0)
             sup.push_samples(name, (k * 10.0,), (float(k),))
-        assert sup.host(home).stats.wal_bytes == 12 * 16
+        assert sup.handle_of(home).stats.wal_bytes == 12 * 16
         assert sup.totals()["wal_bytes"] == 12 * 16
         sup.crash_shard(home)
         sup.restart_shard(home)
-        assert sup.host(home).stats.wal_bytes == 12 * 16  # carried forward
+        assert sup.handle_of(home).stats.wal_bytes == 12 * 16  # carried forward
         sup.close()
 
 

@@ -175,7 +175,7 @@ class TestSupervisorBridge:
         sup.restart_shard(home)
         # The replacement host carries fresh cells; the registry must
         # read them (replayed history included), not the dead ones.
-        host = sup.host(home)
+        host = sup.handle_of(home)
         snap = reg.snapshot()
         assert snap[f"shard{home}.restarts"]["value"] == host.stats.restarts == 1
         assert snap[f"shard{home}.offered"]["value"] == host.stats.offered

@@ -3,7 +3,8 @@ trusted ``push_obs`` delivers, queries may read but never define."""
 
 import pytest
 
-from repro.core.manager import RESERVED_PREFIX, ScopeManager
+from repro.core.cells import OBS_PREFIX
+from repro.core.manager import ScopeManager
 from repro.core.scope import ScopeError
 from repro.core.signal import buffer_signal
 from repro.eventloop.loop import MainLoop
@@ -19,7 +20,7 @@ def _manager():
     manager = ScopeManager(loop)
     scope = manager.scope_new("s", delay_ms=1e12)
     scope.signal_new(buffer_signal("pkts"))
-    scope.signal_new(buffer_signal(RESERVED_PREFIX + "hits"))
+    scope.signal_new(buffer_signal(OBS_PREFIX + "hits"))
     return loop, manager, scope
 
 
@@ -27,16 +28,16 @@ class TestManagerBoundary:
     def test_push_samples_rejects_reserved(self):
         _, manager, _ = _manager()
         with pytest.raises(ScopeError, match="reserved"):
-            manager.push_samples(RESERVED_PREFIX + "hits", [1.0], [2.0])
+            manager.push_samples(OBS_PREFIX + "hits", [1.0], [2.0])
 
     def test_push_sample_rejects_reserved(self):
         _, manager, _ = _manager()
         with pytest.raises(ScopeError, match="reserved"):
-            manager.push_sample(RESERVED_PREFIX + "hits", 1.0, 2.0)
+            manager.push_sample(OBS_PREFIX + "hits", 1.0, 2.0)
 
     def test_push_obs_delivers(self):
         _, manager, scope = _manager()
-        accepted = manager.push_obs(RESERVED_PREFIX + "hits", [1.0], [2.0])
+        accepted = manager.push_obs(OBS_PREFIX + "hits", [1.0], [2.0])
         assert accepted == 1
 
     def test_ordinary_names_unaffected(self):
@@ -47,20 +48,20 @@ class TestManagerBoundary:
         _, manager, _ = _manager()
         seen = []
         manager.add_tap(lambda name, t, v, now: seen.append(name))
-        manager.push_obs(RESERVED_PREFIX + "hits", [1.0], [2.0])
-        assert seen == [RESERVED_PREFIX + "hits"]
+        manager.push_obs(OBS_PREFIX + "hits", [1.0], [2.0])
+        assert seen == [OBS_PREFIX + "hits"]
 
 
 class TestShardedBoundary:
     def test_sharded_push_samples_rejects(self):
         sharded = ShardedScopeManager(shards=2)
         with pytest.raises(ScopeError, match="reserved"):
-            sharded.push_samples(RESERVED_PREFIX + "x", [1.0], [2.0])
+            sharded.push_samples(OBS_PREFIX + "x", [1.0], [2.0])
 
     def test_sharded_push_obs_routes(self):
         sharded = ShardedScopeManager(shards=2)
         # No scope carries the name: delivered (to nobody), not rejected.
-        assert sharded.push_obs(RESERVED_PREFIX + "x", [1.0], [2.0]) == 0
+        assert sharded.push_obs(OBS_PREFIX + "x", [1.0], [2.0]) == 0
         assert sharded.totals()["offered"] == 1
 
     def test_ordinary_push_still_counts(self):
@@ -83,7 +84,7 @@ class TestSupervisorBoundary:
             1, loop, wal_root=tmp_path, scope_factory=factory
         )
         with pytest.raises(ScopeError, match="reserved"):
-            sup.push_samples(RESERVED_PREFIX + "x", [1.0], [2.0])
+            sup.push_samples(OBS_PREFIX + "x", [1.0], [2.0])
         # Nothing durable was written for the rejected push.
         wal_files = [
             p for p in tmp_path.rglob("*") if p.is_file() and p.stat().st_size
@@ -102,10 +103,10 @@ class TestSupervisorBoundary:
 
         def factory(manager, shard_id):
             scope = manager.scope_new(f"s{shard_id}", delay_ms=1e12)
-            scope.signal_new(buffer_signal(RESERVED_PREFIX + "hits"))
+            scope.signal_new(buffer_signal(OBS_PREFIX + "hits"))
 
         sup = Router(1, loop, wal_root=tmp_path, scope_factory=factory)
-        assert sup.push_obs(RESERVED_PREFIX + "hits", [1.0], [2.0]) == 1
+        assert sup.push_obs(OBS_PREFIX + "hits", [1.0], [2.0]) == 1
         sup.close()
 
 
@@ -121,7 +122,7 @@ class TestServerBoundary:
         client.send_samples("pkts", [2.0], [1.0])
         loop.run_until(50.0)
         assert state.connected
-        client.send_samples(RESERVED_PREFIX + "hits", [2.0], [1.0])
+        client.send_samples(OBS_PREFIX + "hits", [2.0], [1.0])
         loop.run_until(100.0)
         assert not state.connected
         assert state.disconnect_reason == "protocol"

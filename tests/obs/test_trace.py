@@ -5,10 +5,10 @@ import json
 import pytest
 
 from repro.eventloop.clock import VirtualClock
-from repro.obs import trace
 from repro.obs.trace import (
     NULL_SPAN,
     TraceCollector,
+    current_tracer,
     install_tracer,
     span,
     uninstall_tracer,
@@ -110,7 +110,7 @@ class TestChromeExport:
 
 class TestModuleTracer:
     def test_span_is_noop_without_tracer(self):
-        assert trace._tracer is None
+        assert current_tracer() is None
         handle = span("anything")
         assert handle is NULL_SPAN
         with handle:
@@ -130,7 +130,7 @@ class TestModuleTracer:
     def test_install_refused_when_disabled(self, monkeypatch):
         monkeypatch.setenv("REPRO_OBS", "0")
         assert not install_tracer(TraceCollector(_Clock()))
-        assert trace._tracer is None
+        assert current_tracer() is None
 
 
 class TestPipelineSpans:
